@@ -1,43 +1,38 @@
-// Event-core scaling gate: events/s and tx/s vs node count (4 -> 1000).
+// Event-core scaling gate: events, commits and events/s vs node count
+// (4 -> 1000).
 //
-// Two layers:
+// Two layers, run in this order so each cell's peak RSS is its own:
 //
-//  1. Queue churn — the pooled indexed EventQueue head-to-head against a
-//     faithful reimplementation of the legacy design it replaced
-//     (std::priority_queue + unordered_map<TimerId, std::function> with
-//     lazy cancellation). Keeping the legacy queue *inside this binary*
-//     makes the old-vs-new ratio reproducible on any machine forever,
-//     rather than depending on a number measured once before the swap.
-//     The churn pattern mirrors a faulted cell at scale: most timers are
-//     commit/round timeouts that are cancelled long before they fire, the
-//     exact pattern whose garbage the lazy design accumulated.
+//  1. Cell sweep — full redbelly simulations at increasing node counts,
+//     reporting events, commits, events/s, committed tx/s and peak RSS.
+//     Durations shrink with n so the 1000-node cell stays a bench, not a
+//     soak.
 //
-//  2. Cell sweep — full redbelly simulations at increasing node counts,
-//     reporting events/s, committed tx/s and peak RSS. Durations shrink
-//     with n so the 1000-node cell stays a bench, not a soak.
+//  2. Queue churn — the pooled indexed EventQueue under the pattern of a
+//     faulted cell at scale: most timers are commit/round timeouts that
+//     are cancelled long before they fire. Informational events/s only.
+//
+// The gate keys on what is exact on any host: every cell's event and
+// commit counts must equal the checked-in baseline's. Wall-clock rates
+// and RSS are recorded for information and never fail a run.
 //
 // Environment:
 //   STABL_SCALE_MAX_N     cap the sweep (CI smoke uses 64; default 1000)
-//   STABL_SCALE_SKIP_CELLS=1  run only the queue layer (fast gate)
+//   STABL_SCALE_SKIP_CELLS=1  run only the queue layer (no gate possible)
 //   STABL_SCALE_JSON      write results as JSON to this path
 //   STABL_SCALE_BASELINE  compare against a checked-in JSON baseline and
-//                         exit 1 if pooled-queue events/s regresses >10%
-//                         (or the legacy-vs-pooled speedup >30%) at any
-//                         node count both files cover
+//                         exit 1 if any cell both files cover differs in
+//                         events or committed
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <functional>
-#include <queue>
+#include <map>
 #include <sstream>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -52,104 +47,21 @@ namespace {
 using namespace stabl;
 
 // ---------------------------------------------------------------------------
-// The pre-swap queue, reproduced with its exact semantics: heap of (at, id),
-// actions in a hash map, lazy cancellation through a cancelled-id set that
-// keeps heap entries until their fire time comes up.
-class LegacyQueue {
- public:
-  using Action = std::function<void()>;
-
-  std::uint64_t schedule(sim::Time at, Action action) {
-    const std::uint64_t id = next_id_++;
-    heap_.push(Entry{at, id});
-    actions_.emplace(id, std::move(action));
-    ++live_count_;
-    return id;
-  }
-
-  void cancel(std::uint64_t id) {
-    const auto it = actions_.find(id);
-    if (it == actions_.end()) return;
-    actions_.erase(it);
-    cancelled_.insert(id);
-    --live_count_;
-  }
-
-  [[nodiscard]] bool empty() {
-    drop_cancelled_head();
-    return heap_.empty();
-  }
-
-  Action pop(sim::Time& fired_at) {
-    drop_cancelled_head();
-    const Entry entry = heap_.top();
-    heap_.pop();
-    fired_at = entry.at;
-    const auto it = actions_.find(entry.id);
-    Action action = std::move(it->second);
-    actions_.erase(it);
-    --live_count_;
-    return action;
-  }
-
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-
- private:
-  struct Entry {
-    sim::Time at;
-    std::uint64_t id;
-    bool operator>(const Entry& other) const {
-      if (at != other.at) return at > other.at;
-      return id > other.id;
-    }
-  };
-
-  void drop_cancelled_head() {
-    while (!heap_.empty()) {
-      const auto it = cancelled_.find(heap_.top().id);
-      if (it == cancelled_.end()) break;
-      cancelled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::unordered_map<std::uint64_t, Action> actions_;
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::uint64_t next_id_ = 1;
-  std::size_t live_count_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Churn workload, identical for both queues. Sized like an n-node cell:
-// ~16 delivery timers in flight per node, spread over network latencies
-// (0.1–20 ms), so sim time advances ~20ms/in_flight per event — the same
-// event density a real cell has. Every event also arms a 5 s commit
-// timeout; a commit "arrives" ~64 events later (well under a millisecond
-// of sim time) and beats the timeout 99% of the time. The lazy design
-// then keeps the beaten timeout's heap entry plus a cancelled-set entry
-// for the *remaining ~5 s of sim time* — at n=1000 density that is
-// millions of events, i.e. effectively until sim end. That garbage is
-// what pushes the legacy heap out of cache; eager cancellation never
-// accumulates it. All randomness is pre-drawn outside the timed loop so
-// both queues execute the identical schedule/cancel/pop sequence and the
+// Churn workload sized like an n-node cell: ~16 delivery timers in flight
+// per node, spread over network latencies (0.1–20 ms), so sim time
+// advances ~20ms/in_flight per event — the same event density a real cell
+// has. Every event also arms a 5 s commit timeout; a commit "arrives" ~64
+// events later (well under a millisecond of sim time) and cancels it 99%
+// of the time. All randomness is pre-drawn outside the timed loop so the
 // timer measures queue work, not rng work.
 //
 // The callable carries five words of capture — what a Process::set_timer
-// wrapper actually costs (this + the user lambda's own this + ids) —
-// which overflows std::function's 16-byte inline buffer but fits
-// InlineAction's 64-byte one, exactly the asymmetry the production
-// timers hit.
-struct ChurnResult {
-  double events_per_s = 0.0;
-  std::uint64_t pops = 0;
-};
-
+// wrapper actually costs (this + the user lambda's own this + ids) — which
+// fits InlineAction's 64-byte inline buffer, as production timers do.
 volatile std::uint64_t g_sink = 0;
 
-template <typename Queue>
-ChurnResult run_churn(std::size_t n, std::uint64_t ops) {
-  Queue queue;
+double run_churn(std::size_t n, std::uint64_t ops) {
+  sim::EventQueue queue;
   sim::Rng rng(0x5CA1Eull + n);
   sim::Time now{0};
   const std::size_t in_flight = 16 * n + 64;
@@ -193,11 +105,7 @@ ChurnResult run_churn(std::size_t n, std::uint64_t ops) {
       if (commit_beats[op]) queue.cancel(beaten);
     }
   }
-  ChurnResult result;
-  result.pops = pops;
-  result.events_per_s =
-      static_cast<double>(pops) / (timer.elapsed_ms() / 1e3);
-  return result;
+  return static_cast<double>(pops) / (timer.elapsed_ms() / 1e3);
 }
 
 // ---------------------------------------------------------------------------
@@ -243,8 +151,7 @@ CellResult run_cell(std::size_t n, long sim_s) {
 // ---------------------------------------------------------------------------
 struct QueueRow {
   std::size_t n = 0;
-  double legacy_events_per_s = 0.0;
-  double pooled_events_per_s = 0.0;
+  double events_per_s = 0.0;
 };
 
 std::string to_json(const std::vector<QueueRow>& queue_rows,
@@ -254,13 +161,8 @@ std::string to_json(const std::vector<QueueRow>& queue_rows,
   for (std::size_t i = 0; i < queue_rows.size(); ++i) {
     const QueueRow& row = queue_rows[i];
     if (i > 0) out << ',';
-    out << "{\"n\":" << row.n << ",\"legacy_events_per_s\":"
-        << core::Table::num(row.legacy_events_per_s, 0)
-        << ",\"pooled_events_per_s\":"
-        << core::Table::num(row.pooled_events_per_s, 0) << ",\"speedup\":"
-        << core::Table::num(
-               row.pooled_events_per_s / row.legacy_events_per_s, 2)
-        << '}';
+    out << "{\"n\":" << row.n << ",\"events_per_s\":"
+        << core::Table::num(row.events_per_s, 0) << '}';
   }
   out << "],\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -277,20 +179,37 @@ std::string to_json(const std::vector<QueueRow>& queue_rows,
   return out.str();
 }
 
-/// Gate: every node count present in both the baseline and this run must
-/// keep pooled-queue events/s within 10% of the recorded value, and keep
-/// the legacy-vs-pooled speedup within 30% of the recorded ratio. The
-/// first catches absolute regressions on a comparable machine; the second
-/// is machine-independent (both queues run in the same process), so it
-/// still bites when CI hardware changes under the checked-in baseline.
-/// The checked-in baseline is a *low-water mark* across repeated clean
-/// runs, not a single run's numbers: even best-of-3 absolute throughput
-/// swings ~15% run to run, and a gate hung off one (possibly lucky) run
-/// would flake. A real regression — the pooled queue falling back to
-/// legacy behaviour — lands 4-6x below the floor, far outside either
-/// tolerance.
+/// One "key": [ {flat numeric object}, ... ] section of the JSON above.
+std::vector<std::map<std::string, double>> parse_rows(
+    core::JsonCursor& cursor, const std::string& key) {
+  if (cursor.parse_string() != key) cursor.fail("expected \"" + key + "\"");
+  cursor.expect(':');
+  cursor.expect('[');
+  std::vector<std::map<std::string, double>> rows;
+  if (cursor.consume(']')) return rows;
+  do {
+    cursor.expect('{');
+    std::map<std::string, double>& row = rows.emplace_back();
+    do {
+      const std::string field = cursor.parse_string();
+      cursor.expect(':');
+      row[field] = cursor.parse_number();
+    } while (cursor.consume(','));
+    cursor.expect('}');
+  } while (cursor.consume(','));
+  cursor.expect(']');
+  return rows;
+}
+
+/// Gate: every cell present in both the baseline and this run (same n and
+/// sim_s) must reproduce the recorded event and commit counts exactly.
+/// Both are pure functions of the simulation's inputs, so they are
+/// identical on any host and any build type; a change that alters the
+/// schedule of a cell — a different message pattern, an extra timer, a
+/// different RNG draw — fails here on every push. The throughput and RSS
+/// fields are wall-clock or allocator figures and are not compared.
 bool check_baseline(const std::string& path,
-                    const std::vector<QueueRow>& rows) {
+                    const std::vector<CellResult>& cells) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "micro_scale: cannot read baseline %s\n",
@@ -302,51 +221,38 @@ bool check_baseline(const std::string& path,
   const std::string text = buffer.str();
   core::JsonCursor cursor(text);
   cursor.expect('{');
-  if (cursor.parse_string() != "queue") cursor.fail("expected \"queue\"");
-  cursor.expect(':');
-  cursor.expect('[');
+  parse_rows(cursor, "queue");  // informational only
+  cursor.expect(',');
+  const auto recorded = parse_rows(cursor, "cells");
+  cursor.expect('}');
   bool ok = true;
-  if (!cursor.consume(']')) {
-    do {
-      cursor.expect('{');
-      std::size_t n = 0;
-      double pooled = 0.0;
-      double speedup = 0.0;
-      do {
-        const std::string key = cursor.parse_string();
-        cursor.expect(':');
-        const double value = cursor.parse_number();
-        if (key == "n") n = static_cast<std::size_t>(value);
-        if (key == "pooled_events_per_s") pooled = value;
-        if (key == "speedup") speedup = value;
-      } while (cursor.consume(','));
-      cursor.expect('}');
-      for (const QueueRow& row : rows) {
-        if (row.n != n) continue;
-        if (row.pooled_events_per_s < 0.9 * pooled) {
-          std::fprintf(stderr,
-                       "micro_scale: REGRESSION at n=%zu: %.0f events/s "
-                       "< 90%% of baseline %.0f\n",
-                       n, row.pooled_events_per_s, pooled);
-          ok = false;
-        }
-        // The ratio swings ~20% run to run (it divides two noisy
-        // measurements), so gate it at 70%: loose enough for load noise,
-        // tight enough to catch the pooled queue losing its advantage.
-        const double ratio =
-            row.pooled_events_per_s / row.legacy_events_per_s;
-        if (speedup > 0.0 && ratio < 0.7 * speedup) {
-          std::fprintf(stderr,
-                       "micro_scale: REGRESSION at n=%zu: speedup %.2fx "
-                       "< 70%% of baseline %.2fx\n",
-                       n, ratio, speedup);
-          ok = false;
-        }
+  std::size_t compared = 0;
+  for (const auto& row : recorded) {
+    for (const CellResult& cell : cells) {
+      if (static_cast<double>(cell.n) != row.at("n") ||
+          static_cast<double>(cell.sim_s) != row.at("sim_s")) {
+        continue;
       }
-    } while (cursor.consume(','));
-    cursor.expect(']');
+      ++compared;
+      const auto events = static_cast<std::uint64_t>(row.at("events"));
+      const auto committed = static_cast<std::uint64_t>(row.at("committed"));
+      if (cell.events != events || cell.committed != committed) {
+        std::fprintf(stderr,
+                     "micro_scale: REGRESSION at n=%zu: %llu events, %llu "
+                     "committed; baseline %llu events, %llu committed\n",
+                     cell.n, static_cast<unsigned long long>(cell.events),
+                     static_cast<unsigned long long>(cell.committed),
+                     static_cast<unsigned long long>(events),
+                     static_cast<unsigned long long>(committed));
+        ok = false;
+      }
+    }
   }
-  // The trailing "cells" section is informational; no need to walk it.
+  if (compared == 0) {
+    std::fprintf(stderr, "micro_scale: no cell to compare against %s\n",
+                 path.c_str());
+    return false;
+  }
   return ok;
 }
 
@@ -360,45 +266,8 @@ int main() {
   }
   const std::size_t kNodeCounts[] = {4, 16, 64, 250, 1000};
 
-  std::printf("=== queue churn: legacy vs pooled (events/s) ===\n");
-  core::Table queue_table(
-      {"n", "legacy ev/s", "pooled ev/s", "speedup"});
-  std::vector<QueueRow> queue_rows;
-  for (const std::size_t n : kNodeCounts) {
-    if (n > max_n) break;
-    // Run past the lazy design's steady state: cancelled-timeout garbage
-    // persists for the 5 s timeout horizon, which at this cell's event
-    // density (~20 ms of latency spread across 16n in-flight deliveries)
-    // is ~in_flight * 500 pops. Shorter runs understate the old cost.
-    const std::size_t in_flight = 16 * n + 64;
-    const std::uint64_t horizon_pops = in_flight * 500;
-    const std::uint64_t ops =
-        std::max<std::uint64_t>(3'000'000, horizon_pops + horizon_pops / 2);
-    QueueRow row;
-    row.n = n;
-    // Best-of-3 per queue: the trace is identical every repetition, so
-    // the max filters scheduler/allocator noise out of the CI gate the
-    // same way micro_trace_overhead's best-of-5 does.
-    for (int rep = 0; rep < 3; ++rep) {
-      row.legacy_events_per_s =
-          std::max(row.legacy_events_per_s,
-                   run_churn<LegacyQueue>(n, ops).events_per_s);
-      row.pooled_events_per_s =
-          std::max(row.pooled_events_per_s,
-                   run_churn<sim::EventQueue>(n, ops).events_per_s);
-    }
-    queue_rows.push_back(row);
-    queue_table.add_row(
-        {std::to_string(n), core::Table::num(row.legacy_events_per_s, 0),
-         core::Table::num(row.pooled_events_per_s, 0),
-         core::Table::num(row.pooled_events_per_s / row.legacy_events_per_s,
-                          2) +
-             "x"});
-  }
-  std::printf("%s", queue_table.to_string().c_str());
-
   const char* skip_cells = std::getenv("STABL_SCALE_SKIP_CELLS");
-  std::printf("\n=== full cells: redbelly, 4 clients (per node count) ===\n");
+  std::printf("=== full cells: redbelly, 4 clients (per node count) ===\n");
   core::Table cell_table({"n", "sim_s", "events", "events/s", "tx/s",
                           "committed", "peak_rss_mb"});
   std::vector<CellResult> cells;
@@ -417,6 +286,31 @@ int main() {
   }
   std::printf("%s", cell_table.to_string().c_str());
 
+  std::printf("\n=== queue churn: pooled EventQueue (events/s) ===\n");
+  core::Table queue_table({"n", "events/s"});
+  std::vector<QueueRow> queue_rows;
+  for (const std::size_t n : kNodeCounts) {
+    if (n > max_n) break;
+    // Run past the cancelled timeouts' 5 s horizon, which at this cell's
+    // event density (~20 ms of latency spread across 16n in-flight
+    // deliveries) is ~in_flight * 500 pops.
+    const std::size_t in_flight = 16 * n + 64;
+    const std::uint64_t horizon_pops = in_flight * 500;
+    const std::uint64_t ops =
+        std::max<std::uint64_t>(3'000'000, horizon_pops + horizon_pops / 2);
+    QueueRow row;
+    row.n = n;
+    // Best-of-3: the trace is identical every repetition, so the max
+    // filters scheduler/allocator noise out of the reported figure.
+    for (int rep = 0; rep < 3; ++rep) {
+      row.events_per_s = std::max(row.events_per_s, run_churn(n, ops));
+    }
+    queue_rows.push_back(row);
+    queue_table.add_row(
+        {std::to_string(n), core::Table::num(row.events_per_s, 0)});
+  }
+  std::printf("%s", queue_table.to_string().c_str());
+
   const std::string json = to_json(queue_rows, cells);
   if (const char* path = std::getenv("STABL_SCALE_JSON")) {
     std::ofstream out(path);
@@ -424,7 +318,7 @@ int main() {
     std::printf("\nwrote %s\n", path);
   }
   if (const char* baseline = std::getenv("STABL_SCALE_BASELINE")) {
-    if (!check_baseline(baseline, queue_rows)) return 1;
+    if (!check_baseline(baseline, cells)) return 1;
     std::printf("baseline check passed (%s)\n", baseline);
   }
   return 0;

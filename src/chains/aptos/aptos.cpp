@@ -94,7 +94,7 @@ void AptosNode::stop_protocol() {
   lock_round_ = 0;
   proposal_txs_.clear();
   proposal_digest_ = 0;
-  votes_.clear();
+  clear_votes();
   timeouts_.clear();
   consecutive_fails_.clear();
   excluded_.clear();
@@ -133,7 +133,7 @@ void AptosNode::enter_round(std::uint64_t round) {
   have_proposal_ = false;
   proposal_txs_.clear();
   proposal_digest_ = 0;
-  votes_.clear();
+  clear_votes();
   timeouts_.clear();
   proposal_parent_ = -1;
   reset_timer(round_timer_, config_.round_timeout,
@@ -170,7 +170,7 @@ void AptosNode::propose() {
   voted_ = true;
   lock_parent_ = parent;
   lock_round_ = round_;
-  votes_[node_id()] = {node_id(), proposal_digest_};
+  record_vote(node_id(), node_id(), proposal_digest_);
   broadcast(std::make_shared<const VotePayload>(round_, node_id(),
                                                 proposal_digest_),
             96);
@@ -223,22 +223,43 @@ void AptosNode::maybe_vote() {
   voted_ = true;
   lock_parent_ = proposal_parent_;
   lock_round_ = round_;
-  votes_[node_id()] = {proposal_leader_, proposal_digest_};
+  record_vote(node_id(), proposal_leader_, proposal_digest_);
   broadcast(std::make_shared<const VotePayload>(round_, proposal_leader_,
                                                 proposal_digest_),
             96);
 }
 
+void AptosNode::record_vote(net::NodeId voter, net::NodeId leader,
+                            std::uint64_t digest) {
+  const auto [it, inserted] = votes_.try_emplace(voter);
+  VoteInfo& vote = it->second;
+  if (!inserted) {
+    --leader_votes_[vote.leader];
+    --content_votes_[{vote.leader, vote.digest}];
+  }
+  vote = {leader, digest};
+  ++leader_votes_[leader];
+  ++content_votes_[{leader, digest}];
+}
+
+void AptosNode::clear_votes() {
+  votes_.clear();
+  leader_votes_.clear();
+  content_votes_.clear();
+}
+
 void AptosNode::try_commit() {
   if (committing_ || !have_proposal_) return;
+  // Defense on: content-bound counting — only votes matching the proposal
+  // we hold certify it, so an equivocated round times out on both variants
+  // instead of forking.
   std::size_t count = 0;
-  for (const auto& [voter, vote] : votes_) {
-    if (vote.leader != proposal_leader_) continue;
-    // Defense on: content-bound counting — only votes matching the
-    // proposal we hold certify it, so an equivocated round times out on
-    // both variants instead of forking.
-    if (misbehavior().enabled() && vote.digest != proposal_digest_) continue;
-    ++count;
+  if (misbehavior().enabled()) {
+    const auto it = content_votes_.find({proposal_leader_, proposal_digest_});
+    if (it != content_votes_.end()) count = it->second;
+  } else {
+    const auto it = leader_votes_.find(proposal_leader_);
+    if (it != leader_votes_.end()) count = it->second;
   }
   const std::size_t quorum = cluster_size() - (cluster_size() - 1) / 3;
   if (count < quorum) return;
@@ -371,7 +392,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
         vote->digest != proposal_digest_) {
       report_misbehavior(vote->leader, core::Offense::kEquivocation);
     }
-    votes_[envelope.from] = {vote->leader, vote->digest};
+    record_vote(envelope.from, vote->leader, vote->digest);
     try_commit();
     return;
   }

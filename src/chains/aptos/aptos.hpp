@@ -135,6 +135,10 @@ class AptosNode final : public chain::BlockchainNode {
   void propose();
   void on_round_timeout();
   void maybe_vote();
+  /// Store `voter`'s vote and move its tallies from the vote it replaces.
+  void record_vote(net::NodeId voter, net::NodeId leader,
+                   std::uint64_t digest);
+  void clear_votes();
   void try_commit();
   void record_round_outcome(std::uint64_t round, bool success);
   void jump_to_round(std::uint64_t round, net::NodeId peer_hint);
@@ -168,6 +172,11 @@ class AptosNode final : public chain::BlockchainNode {
     std::uint64_t digest = 0;
   };
   std::map<net::NodeId, VoteInfo> votes_;
+  /// Running tallies of `votes_` per leader and per (leader, digest),
+  /// changed only together with it (record_vote / clear_votes).
+  std::map<net::NodeId, std::size_t> leader_votes_;
+  std::map<std::pair<net::NodeId, std::uint64_t>, std::size_t>
+      content_votes_;
   std::set<net::NodeId> timeouts_;               // round-timeout senders
   std::map<net::NodeId, int> consecutive_fails_; // leader reputation
   std::set<net::NodeId> excluded_;

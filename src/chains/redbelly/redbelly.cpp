@@ -45,6 +45,15 @@ std::uint32_t batch_bytes(std::size_t tx_count) {
   return 128 + static_cast<std::uint32_t>(tx_count) * 128;
 }
 
+// Held round messages are only ever stored after a successful type test.
+const ProposalPayload& as_proposal(const net::PayloadPtr& payload) {
+  return static_cast<const ProposalPayload&>(*payload);
+}
+
+const EchoPayload& as_echo(const net::PayloadPtr& payload) {
+  return static_cast<const EchoPayload&>(*payload);
+}
+
 }  // namespace
 
 const DecisionLog::Decision& DecisionLog::decide(std::uint64_t round,
@@ -75,7 +84,10 @@ RedbellyNode::RedbellyNode(sim::Simulation& simulation, net::Network& network,
                        return node_config;
                      }()),
       config_(config),
-      decisions_(std::move(decisions)) {}
+      decisions_(std::move(decisions)),
+      proposals_(cluster_size()),
+      echoes_(cluster_size()),
+      echo_counts_(cluster_size(), 0) {}
 
 std::size_t RedbellyNode::t() const { return (cluster_size() - 1) / 3; }
 std::size_t RedbellyNode::quorum() const { return cluster_size() - t(); }
@@ -92,15 +104,37 @@ void RedbellyNode::stop_protocol() {
   round_ = 0;
 }
 
-void RedbellyNode::reset_round_state() {
+void RedbellyNode::clear_round() {
   round_open_ = false;
   echoed_ = false;
-  proposals_.clear();
-  echoes_.clear();
+  std::fill(proposals_.begin(), proposals_.end(), nullptr);
+  std::fill(echoes_.begin(), echoes_.end(), nullptr);
+  std::fill(echo_counts_.begin(), echo_counts_.end(), 0);
+  echoers_ = 0;
   own_proposal_.reset();
   own_echo_.reset();
+}
+
+void RedbellyNode::reset_round_state() {
+  clear_round();
   echo_timer_ = sim::kInvalidTimer;
   rebroadcast_timer_ = sim::kInvalidTimer;
+}
+
+void RedbellyNode::record_echo(net::NodeId echoer, net::PayloadPtr echo) {
+  net::PayloadPtr& held = echoes_[echoer];
+  if (held == echo) return;  // a re-sent echo changes no count
+  if (held != nullptr) {
+    for (const net::NodeId proposer : as_echo(held).seen) {
+      --echo_counts_[proposer];
+    }
+  } else {
+    ++echoers_;
+  }
+  for (const net::NodeId proposer : as_echo(echo).seen) {
+    ++echo_counts_[proposer];
+  }
+  held = std::move(echo);
 }
 
 void RedbellyNode::schedule_round_start() {
@@ -126,7 +160,7 @@ void RedbellyNode::start_round() {
   auto proposal = std::make_shared<const ProposalPayload>(round_, node_id(),
                                                           std::move(batch));
   mark_proposed(proposal->txs, round_);
-  proposals_[node_id()] = proposal->txs;
+  proposals_[node_id()] = proposal;
   own_proposal_ = proposal;
   broadcast(own_proposal_, batch_bytes(proposal->txs.size()));
   reset_timer(echo_timer_, config_.proposal_window, [this] { send_echo(); });
@@ -135,33 +169,30 @@ void RedbellyNode::start_round() {
 void RedbellyNode::send_echo() {
   if (!round_open_ || echoed_) return;
   echoed_ = true;
+  // Proposers in id order, each once: record_echo() counts every entry.
   std::vector<net::NodeId> seen;
-  seen.reserve(proposals_.size());
-  for (const auto& [proposer, txs] : proposals_) seen.push_back(proposer);
-  auto echo = std::make_shared<const EchoPayload>(round_, seen);
-  own_echo_ = echo;
-  echoes_[node_id()] = std::set<net::NodeId>(seen.begin(), seen.end());
-  broadcast(own_echo_, 64 + 4 * static_cast<std::uint32_t>(seen.size()));
+  for (net::NodeId proposer = 0; proposer < proposals_.size(); ++proposer) {
+    if (proposals_[proposer] != nullptr) seen.push_back(proposer);
+  }
+  const auto bytes = 64 + 4 * static_cast<std::uint32_t>(seen.size());
+  own_echo_ = std::make_shared<const EchoPayload>(round_, std::move(seen));
+  record_echo(node_id(), own_echo_);
+  broadcast(own_echo_, bytes);
   maybe_decide();
 }
 
 void RedbellyNode::maybe_decide() {
   if (!round_open_ || !echoed_) return;
-  if (echoes_.size() < quorum()) return;
+  if (echoers_ < quorum()) return;
   // Candidate superblock: proposals echoed by at least t+1 nodes and whose
   // content we hold. Union in proposer-id order, deduplicated.
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [echoer, seen] : echoes_) {
-    for (const net::NodeId proposer : seen) ++counts[proposer];
-  }
   DecisionLog::Decision candidate;
   std::unordered_set<chain::TxId> included;
-  for (const auto& [proposer, count] : counts) {
-    if (count < t() + 1) continue;
-    const auto proposal_it = proposals_.find(proposer);
-    if (proposal_it == proposals_.end()) continue;  // content not held
+  for (net::NodeId proposer = 0; proposer < proposals_.size(); ++proposer) {
+    if (echo_counts_[proposer] < t() + 1) continue;
+    if (proposals_[proposer] == nullptr) continue;  // content not held
     candidate.proposers.push_back(proposer);
-    for (const chain::Transaction& tx : proposal_it->second) {
+    for (const chain::Transaction& tx : as_proposal(proposals_[proposer]).txs) {
       if (included.insert(tx.id).second) candidate.txs.push_back(tx);
     }
   }
@@ -176,12 +207,7 @@ void RedbellyNode::maybe_decide() {
 void RedbellyNode::commit_round(const std::vector<chain::Transaction>& txs,
                                 net::NodeId decider) {
   commit_block(txs, decider, round_, /*allow_empty=*/true);
-  round_open_ = false;
-  echoed_ = false;
-  proposals_.clear();
-  echoes_.clear();
-  own_proposal_.reset();
-  own_echo_.reset();
+  clear_round();
   cancel_timer(echo_timer_);
   ++round_;
   schedule_round_start();
@@ -204,9 +230,9 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
   if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
     if (proposal->round != round_) return;
-    const auto known = proposals_.find(proposal->proposer);
-    if (known != proposals_.end() &&
-        known->second.size() != proposal->txs.size()) {
+    net::PayloadPtr& known = proposals_[proposal->proposer];
+    if (known != nullptr &&
+        as_proposal(known).txs.size() != proposal->txs.size()) {
       // Two different batches under the same (round, proposer): a
       // double-propose. Keep the first (the DecisionLog pins one canonical
       // superblock regardless, so agreement holds); the conflicting pair
@@ -214,13 +240,12 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
       report_misbehavior(proposal->proposer, core::Offense::kEquivocation);
       return;
     }
-    proposals_[proposal->proposer] = proposal->txs;
+    known = envelope.payload;
     return;
   }
   if (const auto* echo = dynamic_cast<const EchoPayload*>(payload)) {
     if (echo->round != round_) return;
-    echoes_[envelope.from] =
-        std::set<net::NodeId>(echo->seen.begin(), echo->seen.end());
+    record_echo(envelope.from, envelope.payload);
     maybe_decide();
     return;
   }
@@ -250,12 +275,7 @@ void RedbellyNode::on_synced() {
   if (ledger().height() > round_) {
     // The sync moved us past the round we were in; abandon its state.
     round_ = ledger().height();
-    round_open_ = false;
-    echoed_ = false;
-    proposals_.clear();
-    echoes_.clear();
-    own_proposal_.reset();
-    own_echo_.reset();
+    clear_round();
     cancel_timer(echo_timer_);
     schedule_round_start();
   }

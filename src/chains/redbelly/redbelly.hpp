@@ -38,8 +38,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "chain/node.hpp"
@@ -121,7 +119,12 @@ class RedbellyNode final : public chain::BlockchainNode {
                       net::NodeId decider);
   void commit_round(const std::vector<chain::Transaction>& txs,
                     net::NodeId decider);
+  /// Close the current round and drop everything received for it.
+  void clear_round();
   void reset_round_state();
+  /// Hold `echoer`'s echo and move its proposers' counts from the echo
+  /// it replaces, if any.
+  void record_echo(net::NodeId echoer, net::PayloadPtr echo);
   void rebroadcast();
   [[nodiscard]] std::size_t quorum() const;
   [[nodiscard]] std::size_t t() const;
@@ -129,12 +132,19 @@ class RedbellyNode final : public chain::BlockchainNode {
   RedbellyConfig config_;
   std::shared_ptr<DecisionLog> decisions_;
 
-  // Volatile per-round state (cleared on crash).
+  // Volatile per-round state (cleared on crash). Proposals and echoes are
+  // the shared payloads they arrived in, indexed by proposer and echoer
+  // (only cluster nodes, ids below cluster_size(), send either).
+  // `echo_counts_[p]` is the number of held echoes listing proposer p and
+  // `echoers_` the number of held echoes; both change only together with
+  // `echoes_`, so maybe_decide() reads them instead of re-tallying.
   std::uint64_t round_ = 0;
   bool round_open_ = false;
   bool echoed_ = false;
-  std::map<net::NodeId, std::vector<chain::Transaction>> proposals_;
-  std::map<net::NodeId, std::set<net::NodeId>> echoes_;
+  std::vector<net::PayloadPtr> proposals_;
+  std::vector<net::PayloadPtr> echoes_;
+  std::vector<std::uint32_t> echo_counts_;
+  std::size_t echoers_ = 0;
   sim::TimerId echo_timer_ = sim::kInvalidTimer;
   sim::TimerId rebroadcast_timer_ = sim::kInvalidTimer;
   net::PayloadPtr own_proposal_;

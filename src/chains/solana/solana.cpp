@@ -69,6 +69,17 @@ SolanaNode::SolanaNode(sim::Simulation& simulation, net::Network& network,
       config_(config),
       schedule_(config.warmup_epochs, config.normal_epoch_slots) {}
 
+std::map<std::string, double> SolanaNode::metrics() const {
+  const auto pending = std::count_if(
+      pending_forward_.begin(), pending_forward_.end(),
+      [this](const auto& entry) {
+        return !ledger().is_committed(entry.first);
+      });
+  return {{"panicked", panicked_ ? 1.0 : 0.0},
+          {"last_rooted_slot", static_cast<double>(rooted_slot_)},
+          {"pending_forward", static_cast<double>(pending)}};
+}
+
 net::NodeId SolanaNode::leader_of_slot(std::uint64_t slot) const {
   // The real schedule is computed per-epoch from a PRF of state two epochs
   // prior; a seeded hash of (epoch, leader group) preserves the properties
@@ -110,6 +121,7 @@ void SolanaNode::schedule_slot_tick() {
 
 void SolanaNode::stop_protocol() {
   pending_forward_.clear();
+  forward_due_.clear();
   leader_buffer_.clear();
   slots_.clear();
   current_slot_ = 0;
@@ -204,20 +216,23 @@ void SolanaNode::produce_block(std::uint64_t slot) {
 }
 
 void SolanaNode::forward_pending(std::uint64_t slot) {
-  if (pending_forward_.empty()) return;
-  // Drop what has committed since the last tick; collect what is due for
-  // (re-)forwarding under the RPC retry pacing.
+  // Take what is due for (re-)forwarding under the RPC retry pacing, drop
+  // what has committed since, and forward the rest in id order.
+  std::vector<chain::TxId> due;
+  while (!forward_due_.empty() && forward_due_.begin()->first <= now()) {
+    due.push_back(forward_due_.begin()->second);
+    forward_due_.erase(forward_due_.begin());
+  }
+  std::sort(due.begin(), due.end());
   std::vector<chain::Transaction> batch;
-  for (auto it = pending_forward_.begin(); it != pending_forward_.end();) {
-    if (ledger().is_committed(it->first)) {
-      it = pending_forward_.erase(it);
+  for (const chain::TxId id : due) {
+    const auto it = pending_forward_.find(id);
+    if (ledger().is_committed(id)) {
+      pending_forward_.erase(it);
       continue;
     }
-    if (now() >= it->second.next_send) {
-      batch.push_back(it->second.tx);
-      it->second.next_send = now() + config_.forward_retry;
-    }
-    ++it;
+    batch.push_back(it->second);
+    forward_due_.emplace(now() + config_.forward_retry, id);
   }
   if (batch.empty()) return;
   auto payload = std::make_shared<const ForwardPayload>(std::move(batch));
@@ -438,9 +453,9 @@ void SolanaNode::accept_transaction(const chain::Transaction& tx) {
   // No mempool: remember the transaction and push it to the scheduled
   // leaders until it lands. The forward buffer is Solana's admission
   // queue, so entering it is the lifecycle kQueued stage.
-  const bool inserted =
-      pending_forward_.emplace(tx.id, PendingForward{tx, now()}).second;
+  const bool inserted = pending_forward_.emplace(tx.id, tx).second;
   if (inserted) {
+    forward_due_.emplace(now(), tx.id);
     if (auto* lifecycle = simulation().lifecycle()) {
       lifecycle->mark(tx.id, sim::TxStage::kQueued, now());
     }

@@ -1,16 +1,27 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace stabl::net {
+namespace {
+
+// Rule and endpoint arguments are checked in every build type: a rule with
+// a zero delay or an out-of-range probability would otherwise install
+// silently and distort a run.
+void require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("Network::") + what);
+}
+
+}  // namespace
 
 Network::Network(sim::Simulation& simulation, LatencyConfig latency)
     : sim_(simulation), latency_(latency), rng_(simulation.rng().fork()) {}
 
 void Network::attach(NodeId id, Endpoint* endpoint) {
-  assert(endpoint != nullptr);
+  require(endpoint != nullptr, "attach: null endpoint");
   endpoints_[id] = endpoint;
 }
 
@@ -91,7 +102,7 @@ RuleId Network::add_partition(std::vector<NodeId> group_a,
 
 RuleId Network::add_delay(std::vector<NodeId> group_a,
                           std::vector<NodeId> group_b, sim::Duration extra) {
-  assert(extra > sim::Duration::zero());
+  require(extra > sim::Duration::zero(), "add_delay: extra must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kDelay;
   rule.group_a.insert(group_a.begin(), group_a.end());
@@ -102,7 +113,8 @@ RuleId Network::add_delay(std::vector<NodeId> group_a,
 
 RuleId Network::add_loss(std::vector<NodeId> group_a,
                          std::vector<NodeId> group_b, double probability) {
-  assert(probability > 0.0 && probability <= 1.0);
+  require(probability > 0.0 && probability <= 1.0,
+          "add_loss: probability must be in (0, 1]");
   Rule rule;
   rule.kind = Rule::Kind::kLoss;
   rule.group_a.insert(group_a.begin(), group_a.end());
@@ -114,7 +126,8 @@ RuleId Network::add_loss(std::vector<NodeId> group_a,
 RuleId Network::add_bandwidth(std::vector<NodeId> group_a,
                               std::vector<NodeId> group_b,
                               double bytes_per_second) {
-  assert(bytes_per_second > 0.0);
+  require(bytes_per_second > 0.0,
+          "add_bandwidth: bytes_per_second must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kBandwidth;
   rule.group_a.insert(group_a.begin(), group_a.end());
@@ -124,7 +137,7 @@ RuleId Network::add_bandwidth(std::vector<NodeId> group_a,
 }
 
 RuleId Network::add_gray(std::vector<NodeId> nodes, sim::Duration extra) {
-  assert(extra > sim::Duration::zero());
+  require(extra > sim::Duration::zero(), "add_gray: extra must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kGray;
   rule.group_a.insert(nodes.begin(), nodes.end());
@@ -134,8 +147,9 @@ RuleId Network::add_gray(std::vector<NodeId> nodes, sim::Duration extra) {
 
 RuleId Network::add_eclipse(NodeId victim, std::vector<NodeId> attackers,
                             sim::Duration extra, double filter_probability) {
-  assert(extra > sim::Duration::zero());
-  assert(filter_probability >= 0.0 && filter_probability < 1.0);
+  require(extra > sim::Duration::zero(), "add_eclipse: extra must be > 0");
+  require(filter_probability >= 0.0 && filter_probability < 1.0,
+          "add_eclipse: filter_probability must be in [0, 1)");
   Rule rule;
   rule.kind = Rule::Kind::kEclipse;
   rule.group_a.insert(victim);

@@ -45,7 +45,9 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Register the receiving endpoint for a machine. Must be called once per
-  /// NodeId before anything is sent to it.
+  /// NodeId before anything is sent to it. The add_* rules below and attach
+  /// throw std::invalid_argument on an argument outside the stated range
+  /// (a null endpoint, a non-positive delay or rate, a bad probability).
   void attach(NodeId id, Endpoint* endpoint);
 
   /// Send a payload from one machine to another. The packet is dropped when

@@ -1,12 +1,13 @@
 // Aggregate arrival scheduling: cohort collapse, enrolment-order emission,
 // high-TPS batching, equivalence with the per-client timer chain it
-// replaced, and byte-stability of a full faulted campaign report.
+// replaced, and byte-stability of full faulted scenario reports.
 #include "core/arrivals.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -292,29 +293,73 @@ TEST(Arrivals, MixedRegionMixedShapePopulationMatchesPerClientTimers) {
   EXPECT_EQ(run(/*batched=*/false), run(/*batched=*/true));
 }
 
-// Golden-file gate for the whole stack: a faulted campaign (redbelly under
-// crash, the paper's flagship cell) must reproduce its checked-in report
-// byte-for-byte. Any change that perturbs event order, RNG draw order or
-// serialization shows up here as a one-byte diff.
-TEST(Arrivals, FaultedCampaignReportMatchesGoldenBytes) {
-  ScenarioSpec spec;
-  spec.chain = "redbelly";
-  spec.fault = "crash";
-  spec.duration_s = 60;
-  const ResolvedScenario resolved = resolve_scenario(spec);
+// Golden-file gate for the whole stack: each faulted scenario must
+// reproduce its checked-in report byte-for-byte. Any change that perturbs
+// event order, RNG draw order or serialization shows up here as a one-byte
+// diff. The cases cover the paper's flagship cell (redbelly under crash)
+// and the chain paths that keep running tallies or retry queues:
+//  * redbelly transient: stalled rounds re-send the same echo, and state
+//    sync after the restart abandons a round;
+//  * aptos equivocate with the misbehavior defense: quorums read the
+//    (leader, digest) tally, and at this seed double votes move voters
+//    between digests;
+//  * solana crash mid exchange_burst: forwarded transactions wait for dead
+//    leaders and are retried under a backlog.
+struct GoldenCase {
+  const char* name;
+  const char* scenario;  // scenario JSON, as stabl_cli --scenario reads it
+  const char* golden;    // file under tests/golden/
+};
+
+void PrintTo(const GoldenCase& golden_case, std::ostream* out) {
+  *out << golden_case.name;
+}
+
+class GoldenReport : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenReport, MatchesGoldenBytes) {
+  const ResolvedScenario resolved =
+      resolve_scenario(scenario_from_json(GetParam().scenario));
   const SensitivityRun run = run_sensitivity(resolved.config);
   const std::string json =
       to_json(resolved.config.chain, resolved.config.fault, run);
 
-  std::ifstream in(std::string(STABL_TEST_GOLDEN_DIR) +
-                   "/redbelly_crash.report.json");
-  ASSERT_TRUE(in.good()) << "missing golden report";
+  std::ifstream in(std::string(STABL_TEST_GOLDEN_DIR) + "/" +
+                   GetParam().golden);
+  ASSERT_TRUE(in.good()) << "missing golden report " << GetParam().golden;
   std::stringstream buffer;
   buffer << in.rdbuf();
   std::string golden = buffer.str();
   if (!golden.empty() && golden.back() == '\n') golden.pop_back();
   EXPECT_EQ(json, golden);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultedScenarios, GoldenReport,
+    ::testing::Values(
+        GoldenCase{"redbelly_crash",
+                   R"({"chain": "redbelly", "fault": "crash",
+                       "duration_s": 60})",
+                   "redbelly_crash.report.json"},
+        GoldenCase{"redbelly_transient",
+                   R"({"chain": "redbelly", "fault": "transient",
+                       "duration_s": 150})",
+                   "redbelly_transient.report.json"},
+        GoldenCase{"aptos_equivocate_defended",
+                   R"({"chain": "aptos",
+                       "chain_params": {"misbehavior_defense": 1},
+                       "fault": "equivocate", "duration_s": 60,
+                       "seed": 2})",
+                   "aptos_equivocate_defended.report.json"},
+        GoldenCase{"solana_crash_burst",
+                   R"({"chain": "solana", "fault": "crash", "duration_s": 60,
+                       "traffic": {"preset": "exchange_burst",
+                                   "flash_at_s": 15,
+                                   "flash_duration_s": 30}})",
+                   "solana_crash_burst.report.json"}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace stabl::core

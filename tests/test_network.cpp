@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -130,6 +132,38 @@ TEST_F(NetworkTest, StatsCountDeliveries) {
   simulation.run();
   EXPECT_EQ(network.stats().sent, 5u);
   EXPECT_EQ(network.stats().delivered, 5u);
+}
+
+// Argument checks hold in every build type, not only with assertions on.
+TEST_F(NetworkTest, RejectsInvalidRuleArguments) {
+  const sim::Duration zero = sim::Duration::zero();
+  EXPECT_THROW(network.attach(9, nullptr), std::invalid_argument);
+  EXPECT_THROW(network.add_delay({0}, {1}, zero), std::invalid_argument);
+  EXPECT_THROW(network.add_delay({0}, {1}, sim::ms(-1)),
+               std::invalid_argument);
+  EXPECT_THROW(network.add_loss({0}, {1}, 0.0), std::invalid_argument);
+  EXPECT_THROW(network.add_loss({0}, {1}, 1.5), std::invalid_argument);
+  EXPECT_THROW(network.add_loss({0}, {1}, std::nan("")),
+               std::invalid_argument);
+  EXPECT_THROW(network.add_bandwidth({0}, {1}, 0.0), std::invalid_argument);
+  EXPECT_THROW(network.add_gray({0}, zero), std::invalid_argument);
+  EXPECT_THROW(network.add_eclipse(0, {1}, zero, 0.5),
+               std::invalid_argument);
+  EXPECT_THROW(network.add_eclipse(0, {1}, sim::ms(5), 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(network.add_eclipse(0, {1}, sim::ms(5), -0.1),
+               std::invalid_argument);
+  // Nothing was installed: traffic flows undelayed and undropped.
+  EXPECT_EQ(network.extra_delay(0, 1), zero);
+  network.send(0, 1, std::make_shared<const Marker>(1));
+  simulation.run();
+  EXPECT_EQ(probes[1].received.size(), 1u);
+}
+
+TEST_F(NetworkTest, AcceptsBoundaryRuleArguments) {
+  EXPECT_NE(network.add_loss({0}, {1}, 1.0), 0u);
+  EXPECT_NE(network.add_eclipse(2, {3}, sim::us(1), 0.0), 0u);
+  EXPECT_NE(network.add_delay({0}, {2}, sim::us(1)), 0u);
 }
 
 TEST(Latency, RespectsFloorAndBytes) {

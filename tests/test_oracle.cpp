@@ -5,7 +5,10 @@
 // oracle and shrunk to a tiny repro.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "chain/hash.hpp"
@@ -287,34 +290,50 @@ TEST(OracleConsistency, RecoverySecondsMustMatchTheSeries) {
 // oracles. The chains that lose liveness by design (Solana panics,
 // Avalanche throttles itself to death) must come out as expected-loss —
 // evidence-backed — never as violations, and never as safety failures.
-TEST(OracleScriptedMatrix, NoFalsePositivesAcrossAllChainsAndFaults) {
-  const FaultType kScripted[] = {
-      FaultType::kCrash,  FaultType::kTransient, FaultType::kPartition,
-      FaultType::kSecureClient, FaultType::kDelay, FaultType::kChurn,
-      FaultType::kLoss,   FaultType::kThrottle,  FaultType::kGray};
-  for (const ChainKind chain : kAllChains) {
-    for (const FaultType fault : kScripted) {
-      ExperimentConfig config;
-      config.chain = chain;
-      config.fault = fault;
-      config.seed = 42;
-      config.duration = sim::sec(400);
-      config.inject_at = sim::sec(133);
-      config.recover_at = sim::sec(266);
-      config.capture_replicas = true;
-      if (fault == FaultType::kSecureClient) {
-        config.client_fanout = 4;
-        config.vcpus = 8.0;
-      }
-      const ExperimentResult result = run_experiment(config);
-      const OracleReport report =
-          check_invariants(make_oracle_context(config), result);
-      EXPECT_FALSE(report.violated())
-          << to_string(chain) << " x " << to_string(fault) << ": "
-          << report.summary();
-    }
-  }
+// One test case per cell, so the 45 simulations run in parallel.
+using MatrixCell = std::tuple<ChainKind, FaultType>;
+
+constexpr FaultType kScriptedFaults[] = {
+    FaultType::kCrash,        FaultType::kTransient, FaultType::kPartition,
+    FaultType::kSecureClient, FaultType::kDelay,     FaultType::kChurn,
+    FaultType::kLoss,         FaultType::kThrottle,  FaultType::kGray};
+
+std::string cell_name(const ::testing::TestParamInfo<MatrixCell>& info) {
+  std::string name = to_string(std::get<0>(info.param)) + "_" +
+                     to_string(std::get<1>(info.param));
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
 }
+
+class OracleScriptedMatrix : public ::testing::TestWithParam<MatrixCell> {};
+
+TEST_P(OracleScriptedMatrix, NoFalsePositives) {
+  const auto [chain, fault] = GetParam();
+  ExperimentConfig config;
+  config.chain = chain;
+  config.fault = fault;
+  config.seed = 42;
+  config.duration = sim::sec(400);
+  config.inject_at = sim::sec(133);
+  config.recover_at = sim::sec(266);
+  config.capture_replicas = true;
+  if (fault == FaultType::kSecureClient) {
+    config.client_fanout = 4;
+    config.vcpus = 8.0;
+  }
+  const ExperimentResult result = run_experiment(config);
+  const OracleReport report =
+      check_invariants(make_oracle_context(config), result);
+  EXPECT_FALSE(report.violated())
+      << to_string(chain) << " x " << to_string(fault) << ": "
+      << report.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(AllChainsAndFaults, OracleScriptedMatrix,
+                         ::testing::Combine(::testing::ValuesIn(kAllChains),
+                                            ::testing::ValuesIn(
+                                                kScriptedFaults)),
+                         cell_name);
 
 // ------------------------------------------------- seeded toy-chain fork
 
