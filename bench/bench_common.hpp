@@ -29,19 +29,11 @@ inline long bench_duration_s() {
 
 inline core::ExperimentConfig paper_config(core::ChainKind chain,
                                            core::FaultType fault) {
-  const long duration = bench_duration_s();
-  core::ExperimentConfig config;
-  config.chain = chain;
-  config.fault = fault;
-  config.seed = 42;
-  config.duration = sim::sec(duration);
-  config.inject_at = sim::sec(duration / 3);
-  config.recover_at = sim::sec(2 * duration / 3);
-  if (fault == core::FaultType::kSecureClient) {
-    config.client_fanout = 4;
-    config.vcpus = 8.0;
-  }
-  return config;
+  core::ExperimentConfig base;
+  base.chain = chain;
+  base.seed = 42;
+  core::apply_run_window(base, bench_duration_s());
+  return core::paper_cell(base, fault);
 }
 
 /// Per-binary cache so the printing step reuses the benchmarked runs.

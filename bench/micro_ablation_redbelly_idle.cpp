@@ -16,7 +16,7 @@ core::ExperimentResult& result(double idle_s) {
   if (it == cache.end()) {
     core::ExperimentConfig config = bench::paper_config(
         core::ChainKind::kRedbelly, core::FaultType::kPartition);
-    config.tuning.redbelly_max_idle_s = idle_s;
+    config.chain_params["max_idle_s"] = idle_s;
     it = cache.emplace(idle_s, core::run_experiment(config)).first;
   }
   return it->second;

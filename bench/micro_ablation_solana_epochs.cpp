@@ -15,7 +15,7 @@ core::ExperimentResult& result(bool warmup) {
   if (it == cache.end()) {
     core::ExperimentConfig config = bench::paper_config(
         core::ChainKind::kSolana, core::FaultType::kTransient);
-    config.tuning.solana_warmup_epochs = warmup;
+    config.chain_params["warmup_epochs"] = warmup ? 1.0 : 0.0;
     it = cache.emplace(warmup, core::run_experiment(config)).first;
   }
   return it->second;

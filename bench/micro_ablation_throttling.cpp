@@ -17,7 +17,7 @@ core::ExperimentResult& result(bool throttling) {
   if (it == cache.end()) {
     core::ExperimentConfig config = bench::paper_config(
         core::ChainKind::kAvalanche, core::FaultType::kTransient);
-    config.tuning.avalanche_throttling = throttling;
+    config.chain_params["throttling"] = throttling ? 1.0 : 0.0;
     it = cache.emplace(throttling, core::run_experiment(config)).first;
   }
   return it->second;

@@ -28,23 +28,21 @@ std::vector<Scenario> scenarios() {
   };
 
   Scenario crash{"crash entry node", base(core::FaultType::kCrash)};
-  crash.config.fault_targets = {0};
+  core::FaultPlan crash_plan = core::paper_plan(crash.config);
+  crash_plan.targets = {0};
+  crash.config.fault_schedule.add(crash_plan);
 
   Scenario loss{"40% loss, 2 entry nodes", base(core::FaultType::kLoss)};
-  loss.config.fault_targets = {0, 1};
-  loss.config.loss_probability = 0.4;
+  core::FaultPlan loss_plan = core::paper_plan(loss.config);
+  loss_plan.targets = {0, 1};
+  loss_plan.loss_probability = 0.4;
+  loss.config.fault_schedule.add(loss_plan);
 
   // Composed: the crash plus packet loss on the next entry node over,
   // overlapping for the middle third of the run.
   Scenario composed{"crash + loss composed", base(core::FaultType::kCrash)};
-  composed.config.fault_targets = {0};
-  core::FaultPlan extra;
-  extra.type = core::FaultType::kLoss;
-  extra.targets = {1};
-  extra.loss_probability = 0.4;
-  extra.inject_at = composed.config.inject_at;
-  extra.recover_at = composed.config.recover_at;
-  composed.config.extra_faults.add(extra);
+  loss_plan.targets = {1};
+  composed.config.fault_schedule.add(crash_plan).add(loss_plan);
 
   return {crash, loss, composed};
 }

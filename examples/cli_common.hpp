@@ -106,15 +106,6 @@ inline std::vector<net::NodeId> parse_node_ids_or_exit(
   return ids;
 }
 
-/// The paper's run geometry for a given duration: faults hit at the first
-/// integer third and clear at the second (400 s keeps 133 s / 266 s).
-inline void apply_run_window(core::ExperimentConfig& config,
-                             long duration_s) {
-  config.duration = sim::sec(duration_s);
-  config.inject_at = sim::sec(duration_s / 3);
-  config.recover_at = sim::sec(2 * duration_s / 3);
-}
-
 /// Writes `body` to `path`, exiting 1 on I/O failure. The harness's output
 /// files are small (traces a few MB at most), so one buffered fwrite is
 /// fine.

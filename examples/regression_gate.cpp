@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
 
   core::CampaignConfig config;
   config.base.seed = seed;
-  cli::apply_run_window(config.base, duration_s);
+  core::apply_run_window(config.base, duration_s);
   config.num_seeds = static_cast<std::size_t>(num_seeds);
   config.jobs = static_cast<unsigned>(jobs);
   config.on_cell_done = [](core::ChainKind chain, core::FaultType fault,

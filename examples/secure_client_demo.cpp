@@ -18,13 +18,11 @@ int main(int argc, char** argv) {
   core::Table table({"chain", "1-node mean", "secure mean", "delta",
                      "sensitivity", "verdict"});
   for (const core::ChainKind chain : core::kAllChains) {
-    core::ExperimentConfig config;
-    config.chain = chain;
-    config.duration = sim::sec(duration);
-    config.fault = core::FaultType::kSecureClient;
-    config.client_fanout = 4;
-    config.vcpus = 8.0;
-    const core::SensitivityRun run = core::run_sensitivity(config);
+    core::ExperimentConfig base;
+    base.chain = chain;
+    base.duration = sim::sec(duration);
+    const core::SensitivityRun run = core::run_sensitivity(
+        core::paper_cell(base, core::FaultType::kSecureClient));
     const double delta =
         run.altered.mean_latency_s - run.baseline.mean_latency_s;
     const char* verdict = "unchanged";

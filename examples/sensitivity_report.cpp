@@ -27,18 +27,12 @@ int main(int argc, char** argv) {
     std::printf("=== %s (t=%zu) ===\n", core::to_string(chain).c_str(),
                 core::fault_tolerance(chain, 10));
     for (const core::FaultType fault : faults) {
-      core::ExperimentConfig config;
-      config.chain = chain;
-      config.seed = seed;
-      config.duration = sim::sec(duration_s);
-      config.inject_at = sim::sec(duration_s / 3);
-      config.recover_at = sim::sec(2 * duration_s / 3);
-      config.fault = fault;
-      if (fault == core::FaultType::kSecureClient) {
-        config.client_fanout = 4;
-        config.vcpus = 8.0;  // paper §7: bigger VMs for the secure client
-      }
-      const core::SensitivityRun run = core::run_sensitivity(config);
+      core::ExperimentConfig base;
+      base.chain = chain;
+      base.seed = seed;
+      core::apply_run_window(base, duration_s);
+      const core::SensitivityRun run =
+          core::run_sensitivity(core::paper_cell(base, fault));
       radar.record(chain, fault, run.score);
       std::printf(
           "  %-13s score=%8s  committed %6llu/%6llu  mean %6.2fs -> %6.2fs"

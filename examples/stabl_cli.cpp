@@ -31,7 +31,11 @@
 // examples/scenarios/*.json) and runs it, reproducing the byte-identical
 // report of the equivalent flag invocation. --chain-param overrides a
 // registered per-chain tunable by name (see `--help` or the chain's
-// ChainTraits::default_params).
+// ChainTraits::default_params); --no-throttling, --no-warmup-epochs and
+// --max-idle S are aliases for throttling=0, warmup_epochs=0 and
+// max_idle_s=S, and like any --chain-param they exit 2 on a chain that
+// does not declare the key. --dump-scenario resolves the spec first, so
+// it exits 2 on anything the run itself would reject.
 //
 // --seeds N sweeps N consecutive seeds starting at --seed and reports the
 // per-seed scores plus mean/min/max/stddev aggregates; --jobs N fans the
@@ -84,7 +88,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -223,9 +226,12 @@ void print_usage(std::FILE* out, const char* argv0) {
       "chain tuning:\n"
       "  --chain-param K=V   override a registered chain parameter by\n"
       "                      name (repeatable; unknown keys are errors)\n"
-      "  --no-throttling     disable Avalanche message throttling\n"
-      "  --no-warmup-epochs  disable Solana warmup epochs\n"
-      "  --max-idle S        Redbelly max idle seconds\n"
+      "  --no-throttling     alias for --chain-param throttling=0\n"
+      "                      (Avalanche message throttling off)\n"
+      "  --no-warmup-epochs  alias for --chain-param warmup_epochs=0\n"
+      "                      (Solana runs full-length epochs only)\n"
+      "  --max-idle S        alias for --chain-param max_idle_s=S\n"
+      "                      (Redbelly MaxIdleTime, seconds)\n"
       "\n"
       "output:\n"
       "  --format FMT        text|csv|json (default text)\n"
@@ -303,13 +309,6 @@ int main(int argc, char** argv) {
   // --format / --dump-scenario / --help); such flags cannot be combined
   // with --scenario, which is the complete description of a run.
   bool experiment_flags = false;
-  // Legacy tuning flags. They are mapped onto registry parameter keys
-  // once the chain is known, and silently skipped when the chain does not
-  // declare the key — exactly the old ChainTuning semantics (a Solana
-  // knob on a Redbelly run was always ignored).
-  std::optional<bool> flag_no_throttling;
-  std::optional<bool> flag_no_warmup_epochs;
-  std::optional<double> flag_max_idle_s;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -461,13 +460,13 @@ int main(int argc, char** argv) {
           std::atof(assignment.c_str() + eq + 1);
     } else if (arg == "--no-throttling") {
       experiment_flag();
-      flag_no_throttling = true;
+      spec.chain_params["throttling"] = 0.0;
     } else if (arg == "--no-warmup-epochs") {
       experiment_flag();
-      flag_no_warmup_epochs = true;
+      spec.chain_params["warmup_epochs"] = 0.0;
     } else if (arg == "--max-idle") {
       experiment_flag();
-      flag_max_idle_s = std::atof(value().c_str());
+      spec.chain_params["max_idle_s"] = std::atof(value().c_str());
     } else if (arg == "--chaos") {
       experiment_flag();
       spec.chaos_trials = std::atol(value().c_str());
@@ -516,24 +515,6 @@ int main(int argc, char** argv) {
     } catch (const std::invalid_argument& error) {
       fail_usage(argv[0], scenario_path + ": " + error.what());
     }
-  } else {
-    // Map the legacy tuning flags onto the chain's registered parameters.
-    const chain::ChainTraits* traits =
-        core::chain_registry().find(spec.chain);
-    const auto set_param = [&](const char* key, double param_value) {
-      if (traits != nullptr &&
-          traits->default_params.find(key) != traits->default_params.end()) {
-        spec.chain_params[key] = param_value;
-      }
-    };
-    if (flag_no_throttling.has_value()) set_param("throttling", 0.0);
-    if (flag_no_warmup_epochs.has_value()) set_param("warmup_epochs", 0.0);
-    if (flag_max_idle_s.has_value()) set_param("max_idle_s", *flag_max_idle_s);
-  }
-
-  if (dump_scenario) {
-    std::printf("%s\n", core::scenario_to_json(spec).c_str());
-    return 0;
   }
 
   core::ResolvedScenario resolved;
@@ -541,6 +522,10 @@ int main(int argc, char** argv) {
     resolved = core::resolve_scenario(spec);
   } catch (const std::invalid_argument& error) {
     fail_usage(argv[0], error.what());
+  }
+  if (dump_scenario) {
+    std::printf("%s\n", core::scenario_to_json(spec).c_str());
+    return 0;
   }
   core::ExperimentConfig config = resolved.config;
   const long duration_s = static_cast<long>(spec.duration_s);
@@ -571,7 +556,6 @@ int main(int argc, char** argv) {
     if (chain_set) study.chains = {config.chain};
     if (fault_set) study.faults = {config.fault};
     study.base = config;
-    study.base.fault = core::FaultType::kNone;
     study.jobs = resolved.jobs;
     study.heartbeat = heartbeat;
     core::AttributionReport report;
@@ -583,13 +567,9 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!trace_path.empty() && !report.cells.empty()) {
-      core::ExperimentConfig traced = study.base;
+      core::ExperimentConfig traced =
+          core::paper_cell(study.base, report.cells.front().fault);
       traced.chain = report.cells.front().chain;
-      traced.fault = report.cells.front().fault;
-      if (traced.fault == core::FaultType::kSecureClient) {
-        traced.client_fanout = 4;
-        traced.vcpus = 8.0;
-      }
       sim::TraceSink sink;
       traced.trace = &sink;
       core::run_experiment(traced);
@@ -638,7 +618,6 @@ int main(int argc, char** argv) {
     if (chain_set) study.chains = {config.chain};
     if (fault_set) study.faults = {config.fault};
     study.base = config;
-    study.base.fault = core::FaultType::kNone;
     study.num_seeds = resolved.num_seeds;
     study.jobs = resolved.jobs;
     study.chaos_pairs = resolved.chaos_trials;
@@ -679,7 +658,6 @@ int main(int argc, char** argv) {
     chaos.trials_per_chain = resolved.chaos_trials;
     chaos.seed = config.seed;
     chaos.base = config;
-    chaos.base.fault = core::FaultType::kNone;
     if (resolved.chaos_adversarial) {
       chaos.gen = core::adversarial_gen_for(chaos.base.duration);
     }

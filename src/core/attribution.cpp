@@ -273,17 +273,12 @@ AttributionReport run_attribution(const AttributionConfig& config) {
   Heartbeat heartbeat("attribution", grid.size(), config.heartbeat);
   ThreadPool pool(config.jobs);
   pool.parallel_for(grid.size(), [&](std::size_t i) {
-    ExperimentConfig altered = config.base;
+    ExperimentConfig altered = paper_cell(config.base, grid[i].fault);
     altered.chain = grid[i].chain;
-    altered.fault = grid[i].fault;
     // Cells run concurrently; observability shared through base would
     // race. The recorders below are per-cell locals.
     altered.trace = nullptr;
     altered.metrics = nullptr;
-    if (altered.fault == FaultType::kSecureClient) {
-      altered.client_fanout = 4;
-      altered.vcpus = 8.0;
-    }
     ExperimentConfig baseline = baseline_of(altered);
     sim::LifecycleRecorder baseline_recorder;
     sim::LifecycleRecorder altered_recorder;

@@ -54,8 +54,8 @@ struct AttributionConfig {
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient,
                                 FaultType::kPartition,
                                 FaultType::kSecureClient};
-  /// Template applied to both twins of every cell; chain/fault set per
-  /// cell (secure-client cells get fanout 4 and 8 vCPUs, as in §7).
+  /// Template applied to both twins of every cell: each cell is
+  /// paper_cell(base, fault) with its chain set.
   ExperimentConfig base{};
   /// Worker lanes; 1 = serial. Output is byte-identical for any value.
   unsigned jobs = 1;

@@ -184,9 +184,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   ThreadPool pool(config.jobs);
   pool.parallel_for(grid.size(), [&](std::size_t i) {
     const WallTimer cell_timer;
-    ExperimentConfig cell = config.base;
+    ExperimentConfig cell = paper_cell(config.base, grid[i].fault);
     cell.chain = grid[i].chain;
-    cell.fault = grid[i].fault;
     cell.seed = grid[i].seed;
     // Cells run concurrently; a sink/registry/recorder shared through base
     // would race. Per-cell tracing goes through stabl_cli's single-run
@@ -194,10 +193,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     cell.trace = nullptr;
     cell.metrics = nullptr;
     cell.lifecycle = nullptr;
-    if (cell.fault == FaultType::kSecureClient) {
-      cell.client_fanout = 4;
-      cell.vcpus = 8.0;
-    }
     SensitivityRun run = run_sensitivity(cell);
     wall_slots[i] = cell_timer.elapsed_ms();
     if (config.on_cell_done) {
@@ -522,7 +517,7 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
   ThreadPool pool(config.jobs);
   pool.parallel_for(grid.size(), [&](std::size_t i) {
     const PairCell& cell = grid[i];
-    ExperimentConfig unmitigated = config.base;
+    ExperimentConfig unmitigated = paper_cell(config.base, cell.fault);
     unmitigated.chain = cell.chain;
     unmitigated.seed = cell.seed;
     // Pairs run concurrently; a sink/registry/recorder shared through base
@@ -530,17 +525,7 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
     unmitigated.trace = nullptr;
     unmitigated.metrics = nullptr;
     unmitigated.lifecycle = nullptr;
-    if (cell.chaos) {
-      unmitigated.fault = FaultType::kNone;
-      unmitigated.fault_targets.clear();
-      unmitigated.extra_faults = cell.schedule;
-    } else {
-      unmitigated.fault = cell.fault;
-      if (cell.fault == FaultType::kSecureClient) {
-        unmitigated.client_fanout = 4;
-        unmitigated.vcpus = 8.0;
-      }
-    }
+    if (cell.chaos) unmitigated.fault_schedule = cell.schedule;
     const ExperimentConfig mitigated =
         mitigated_config(unmitigated, config.layers);
 

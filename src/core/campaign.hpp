@@ -31,8 +31,8 @@ struct CampaignConfig {
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient,
                                 FaultType::kPartition,
                                 FaultType::kSecureClient};
-  /// Template applied to every run; chain/fault/fanout/vcpus are set per
-  /// cell (secure-client cells get fanout 4 and 8 vCPUs, as in §7).
+  /// Template applied to every run: each cell is paper_cell(base, fault)
+  /// with its chain and seed set.
   ExperimentConfig base{};
   /// Explicit seeds to sweep per cell. When empty, `num_seeds` consecutive
   /// seeds starting at base.seed are used (the default 1 keeps the single
@@ -170,7 +170,8 @@ struct MitigationConfig {
   /// Fault dimensions to pair up. Defaults to the two the nversion design
   /// targets (process failures); any FaultType is accepted.
   std::vector<FaultType> faults{FaultType::kCrash, FaultType::kTransient};
-  /// Template applied to both twins of every pair.
+  /// Template applied to both twins of every pair: each fault pair is
+  /// paper_cell(base, fault); a chaos pair replaces the fault schedule.
   ExperimentConfig base{};
   std::vector<std::uint64_t> seeds{};
   std::size_t num_seeds = 1;

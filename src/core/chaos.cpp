@@ -445,8 +445,7 @@ ExperimentConfig chaos_trial_config(const ChaosCampaignConfig& config,
   ExperimentConfig cell = config.base;
   cell.chain = chain;
   cell.fault = FaultType::kNone;
-  cell.fault_targets.clear();
-  cell.extra_faults = schedule;
+  cell.fault_schedule = schedule;
   cell.seed = experiment_seed;
   cell.capture_replicas = true;
   // Trials run concurrently; a sink/registry/recorder inherited from the

@@ -193,8 +193,8 @@ struct ChaosCampaignResult {
 };
 
 /// The ExperimentConfig a chaos trial runs: base with the chain set, the
-/// primary fault disabled (the schedule carries every plan), the sampled
-/// schedule in extra_faults and replica capture forced on.
+/// primary fault disabled, the sampled schedule as the whole
+/// fault_schedule and replica capture forced on.
 ExperimentConfig chaos_trial_config(const ChaosCampaignConfig& config,
                                     ChainKind chain,
                                     std::uint64_t experiment_seed,

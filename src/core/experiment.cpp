@@ -23,38 +23,10 @@
 namespace stabl::core {
 namespace {
 
-/// The legacy ChainTuning knobs, mapped onto registry parameter keys. Each
-/// knob only applies when the chain actually declares its key, which
-/// preserves the old semantics exactly: a Solana tuning on a Redbelly run
-/// is silently ignored, as the per-chain switch used to do.
-void apply_legacy_tuning(const ChainTuning& tuning,
-                         chain::ChainParams& params) {
-  const auto set = [&params](const char* key, double value) {
-    const auto it = params.find(key);
-    if (it != params.end()) it->second = value;
-  };
-  if (tuning.avalanche_throttling.has_value()) {
-    set("throttling", *tuning.avalanche_throttling ? 1.0 : 0.0);
-  }
-  if (tuning.avalanche_cpu_target.has_value()) {
-    set("cpu_target", *tuning.avalanche_cpu_target);
-  }
-  if (tuning.solana_warmup_epochs.has_value()) {
-    set("warmup_epochs", *tuning.solana_warmup_epochs ? 1.0 : 0.0);
-  }
-  if (tuning.redbelly_max_idle_s.has_value()) {
-    set("max_idle_s", *tuning.redbelly_max_idle_s);
-  }
-}
-
 /// The merged parameter map the cluster factory and any chain services
-/// see: declared defaults, scenario overrides, then legacy tuning.
+/// see: declared defaults with the config's overrides on top.
 chain::ChainParams merged_chain_params(const ExperimentConfig& config) {
-  const chain::ChainTraits& traits = chain_traits(config.chain);
-  chain::ChainParams params =
-      chain::merge_params(traits, config.chain_params);
-  apply_legacy_tuning(config.tuning, params);
-  return params;
+  return chain::merge_params(chain_traits(config.chain), config.chain_params);
 }
 
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_chain_nodes(
@@ -142,45 +114,48 @@ std::size_t fault_tolerance(ChainKind chain, std::size_t n) {
   return chain_traits(chain).fault_tolerance(n);
 }
 
-FaultSchedule resolved_schedule(const ExperimentConfig& config) {
-  const std::size_t entry_nodes = std::min(config.clients, config.n);
-  const std::size_t t = fault_tolerance(config.chain, config.n);
+void apply_run_window(ExperimentConfig& config, std::int64_t duration_s) {
+  config.duration = sim::sec(duration_s);
+  config.inject_at = sim::sec(duration_s / 3);
+  config.recover_at = sim::sec(2 * duration_s / 3);
+}
 
+FaultPlan paper_plan(const ExperimentConfig& config) {
   FaultPlan plan;
   plan.type = config.fault;
   plan.inject_at = config.inject_at;
   plan.recover_at = config.recover_at;
-  plan.loss_probability = config.loss_probability;
-  plan.throttle_bytes_per_s = config.throttle_bytes_per_s;
-  plan.gray_latency = config.gray_latency;
-  plan.eclipse_victim = config.eclipse_victim;
-  plan.eclipse_delay = config.eclipse_delay;
-  plan.eclipse_filter = config.eclipse_filter;
-  if (!config.fault_targets.empty()) {
-    // Explicit override: the caller is deliberately faulting specific
-    // nodes — possibly entry nodes, to study client-side mitigations.
-    plan.targets = config.fault_targets;
-  } else {
-    std::size_t f = default_fault_count(config.fault, t);
-    if (config.fault_count >= 0) {
-      f = static_cast<std::size_t>(config.fault_count);
-    }
-    assert(entry_nodes + f <= config.n &&
-           "faulty nodes must not take client traffic");
-    plan.targets = default_targets(f, entry_nodes);
+  return plan;
+}
+
+ExperimentConfig paper_cell(ExperimentConfig base, FaultType fault) {
+  base.fault = fault;
+  if (!base.fault_schedule.empty()) {
+    base.fault_schedule.plans.front().type = fault;
   }
+  if (fault == FaultType::kSecureClient) {
+    base.client_fanout = 4;
+    base.vcpus = 8.0;
+  }
+  return base;
+}
+
+FaultSchedule resolved_schedule(const ExperimentConfig& config) {
+  const std::size_t entry_nodes = std::min(config.clients, config.n);
+  const std::size_t t = fault_tolerance(config.chain, config.n);
+  FaultSchedule plans = config.fault_schedule;
+  if (plans.empty()) plans.add(paper_plan(config));
   FaultSchedule schedule;
-  if (plan.type != FaultType::kNone &&
-      plan.type != FaultType::kSecureClient && !plan.targets.empty()) {
-    schedule.add(plan);
-  }
-  for (FaultPlan extra : config.extra_faults.plans) {
-    if (extra.targets.empty()) {
-      extra.targets =
-          default_targets(default_fault_count(extra.type, t), entry_nodes);
-      if (extra.targets.empty()) continue;  // t = 0: nothing to fault
+  for (FaultPlan& plan : plans.plans) {
+    if (plan.targets.empty()) {
+      plan.targets =
+          default_targets(default_fault_count(plan.type, t), entry_nodes);
     }
-    schedule.add(std::move(extra));
+    if (plan.type == FaultType::kNone ||
+        plan.type == FaultType::kSecureClient || plan.targets.empty()) {
+      continue;
+    }
+    schedule.add(std::move(plan));
   }
   return schedule;
 }
@@ -512,8 +487,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
 ExperimentConfig baseline_of(const ExperimentConfig& altered_config) {
   ExperimentConfig baseline_config = altered_config;
   baseline_config.fault = FaultType::kNone;
-  baseline_config.fault_targets.clear();
-  baseline_config.extra_faults.plans.clear();
+  baseline_config.fault_schedule.plans.clear();
   baseline_config.client_fanout = 1;
   // With the traffic model active, the pairing question changes from "how
   // does the fault compare to a pristine lab run" to "what does the fault

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,19 +82,6 @@ std::string to_string(ChainKind chain);
 /// Redbelly and Solana tolerate less than a third (⌈n/3-1⌉). Paper §2.
 std::size_t fault_tolerance(ChainKind chain, std::size_t n);
 
-/// Chain-specific knobs exposed for the ablation benches.
-struct ChainTuning {
-  /// Avalanche: disable the InboundMsgThrottler (shows the collapse is
-  /// throttling-induced).
-  std::optional<bool> avalanche_throttling;
-  /// Avalanche: override the CPU quota target.
-  std::optional<double> avalanche_cpu_target;
-  /// Solana: disable warm-up epochs (the ≥360-slots-per-epoch fix).
-  std::optional<bool> solana_warmup_epochs;
-  /// Redbelly: MaxIdleTime in seconds (developers suggested 30 s).
-  std::optional<double> redbelly_max_idle_s;
-};
-
 struct ExperimentConfig {
   ChainKind chain = ChainKind::kRedbelly;
   std::size_t n = 10;
@@ -110,46 +96,27 @@ struct ExperimentConfig {
   std::size_t client_matching = 0;
   std::uint64_t seed = 42;
   sim::Duration duration = sim::sec(400);
+  /// The run's cell: the fault it is named by in reports and campaign
+  /// keys, and the window the recovery measurement and the oracles read.
+  /// Faults hit at inject_at; transient conditions clear at recover_at.
   FaultType fault = FaultType::kNone;
-  /// Number of faulty nodes; -1 selects the paper's default (t for crash,
-  /// t+1 for transient and partition).
-  int fault_count = -1;
   sim::Duration inject_at = sim::sec(133);
   sim::Duration recover_at = sim::sec(266);
-  /// Explicit target override for the primary fault; empty selects the
-  /// paper's default (nodes that take no client traffic). Targeting an
-  /// entry node is how the resilient client's failover is studied.
-  std::vector<net::NodeId> fault_targets{};
-  /// kLoss: per-packet drop probability between targets and the rest.
-  double loss_probability = 0.2;
-  /// kThrottle: link bandwidth in bytes/s between targets and the rest.
-  double throttle_bytes_per_s = 64.0 * 1024.0;
-  /// kGray: service latency added to all traffic touching a target.
-  sim::Duration gray_latency = sim::sec(2);
-  /// kEclipse: the victim whose connectivity the targets (attackers)
-  /// intercept, the extra delay added to each intercepted packet, and the
-  /// per-packet filter (drop) probability. The default victim is the last
-  /// node — like the paper's fault targets it takes no client traffic.
-  net::NodeId eclipse_victim = 9;
-  sim::Duration eclipse_delay = sim::ms(500);
-  double eclipse_filter = 0.2;
-  /// Additional fault plans armed alongside the primary `fault` (engine
-  /// v2 composition: loss during a partition, churn plus delay, ...).
-  /// Plans with empty targets get the same default target selection as
-  /// the primary fault of their type.
-  FaultSchedule extra_faults{};
+  /// The complete fault schedule the run arms, primary plan first. Empty
+  /// stands for paper_plan(*this). Plans with empty targets get the paper's
+  /// default targets for their type (resolved_schedule); explicit targets
+  /// may hit entry nodes, which is how the resilient client's failover is
+  /// studied.
+  FaultSchedule fault_schedule{};
   /// Client-side timeouts + failover + backoff + circuit breaker. When
   /// enabled, every client gets all entry nodes as failover candidates
   /// (rotated so client i starts at entry node i) and client_fanout is
   /// ignored — submissions go to one endpoint at a time.
   ResilienceConfig resilience{};
-  ChainTuning tuning{};
-  /// Generic per-chain parameter overrides, merged over the chain's
-  /// registered defaults (chain::ChainTraits::default_params). Strict: a
-  /// key the chain did not declare throws std::invalid_argument. The
-  /// legacy `tuning` knobs are applied on top, preserving their
-  /// ignored-on-other-chains semantics. Scenario files (core/scenario.hpp)
-  /// populate this.
+  /// Per-chain parameter overrides, merged over the chain's registered
+  /// defaults (chain::ChainTraits::default_params). Strict: a key the chain
+  /// did not declare throws std::invalid_argument. Scenario files
+  /// (core/scenario.hpp) populate this.
   chain::ChainParams chain_params{};
   /// Submission shape (average rate stays tps_per_client). The paper uses
   /// the constant shape; the others quantify its §8 limitation.
@@ -237,11 +204,26 @@ struct ExperimentResult {
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-/// The full fault schedule run_experiment arms for a config: the primary
-/// `fault` plan with the paper's default targets resolved, followed by the
-/// `extra_faults` plans (empty target lists resolved the same way). The
-/// invariant oracles call this to learn exactly which windows and targets
-/// a run was subjected to.
+/// The paper's run window for a duration: faults hit at the first integer
+/// third and clear at the second (400 s keeps 133 s / 266 s).
+void apply_run_window(ExperimentConfig& config, std::int64_t duration_s);
+
+/// The plan an empty fault_schedule stands for: type `fault` over
+/// inject_at..recover_at with default knobs and empty targets.
+FaultPlan paper_plan(const ExperimentConfig& config);
+
+/// The `fault` cell of a campaign grid built on `base`: sets `fault`, moves
+/// the primary plan (when the schedule is non-empty) to that type so its
+/// targets, knobs and composed plans apply to every cell, and applies the
+/// §7 secure-client geometry (fanout 4, 8 vCPUs).
+ExperimentConfig paper_cell(ExperimentConfig base, FaultType fault);
+
+/// The fault schedule run_experiment arms for a config: fault_schedule (or
+/// paper_plan when it is empty) with every empty target list filled with
+/// the paper's t or t+1 nodes right after the entry nodes, minus plans that
+/// fault nothing (none, secure-client, zero targets). The invariant oracles
+/// call this to learn exactly which windows and targets a run was
+/// subjected to.
 FaultSchedule resolved_schedule(const ExperimentConfig& config);
 
 /// A baseline/altered pair and its sensitivity score. The baseline is the
@@ -253,7 +235,7 @@ struct SensitivityRun {
   SensitivityScore score;
 };
 
-/// The fault-free twin of a config: no fault, no extra plans, fanout 1,
+/// The fault-free twin of a config: no fault, no schedule, fanout 1,
 /// constant workload, observability detached — the paper's pairing rule,
 /// shared by run_sensitivity and the attribution campaign.
 ExperimentConfig baseline_of(const ExperimentConfig& altered_config);

@@ -82,14 +82,14 @@ std::string validate_scenario(const ScenarioSpec& spec) {
   } else if (!(spec.throttle_bytes_per_s > 0.0)) {
     error << "\"throttle_bytes_per_s\" must be > 0 (got "
           << fmt_double(spec.throttle_bytes_per_s) << ")";
-  } else if (spec.gray_delay_s < 0.0) {
-    error << "\"gray_delay_s\" must be >= 0 (got "
+  } else if (!(spec.gray_delay_s > 0.0)) {
+    error << "\"gray_delay_s\" must be > 0 (got "
           << fmt_double(spec.gray_delay_s) << ")";
   } else if (spec.eclipse_victim < 0) {
     error << "\"eclipse_victim\" must be >= 0 (got " << spec.eclipse_victim
           << ")";
-  } else if (spec.eclipse_delay_s < 0.0) {
-    error << "\"eclipse_delay_s\" must be >= 0 (got "
+  } else if (!(spec.eclipse_delay_s > 0.0)) {
+    error << "\"eclipse_delay_s\" must be > 0 (got "
           << fmt_double(spec.eclipse_delay_s) << ")";
   } else if (spec.eclipse_filter < 0.0 || spec.eclipse_filter >= 1.0) {
     error << "\"eclipse_filter\" must be in [0, 1) (got "
@@ -501,33 +501,7 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   (void)chain::merge_params(chain_traits(config.chain), spec.chain_params);
   config.fault = fault_from_name(spec.fault);
   config.seed = spec.seed;
-  config.duration = sim::sec(spec.duration_s);
-  // The historical CLI windows: integer thirds of the duration (400 s
-  // runs keep the paper's 133 s / 266 s schedule).
-  config.inject_at = sim::sec(spec.duration_s / 3);
-  config.recover_at = sim::sec(2 * spec.duration_s / 3);
-  config.fault_targets = spec.fault_targets;
-  config.loss_probability = spec.loss_probability;
-  config.throttle_bytes_per_s = spec.throttle_bytes_per_s;
-  config.gray_latency = sim::seconds(spec.gray_delay_s);
-  config.eclipse_victim = static_cast<net::NodeId>(spec.eclipse_victim);
-  config.eclipse_delay = sim::seconds(spec.eclipse_delay_s);
-  config.eclipse_filter = spec.eclipse_filter;
-  for (const std::string& name : spec.extra_faults) {
-    // Composed plans share the primary fault window and knob values; the
-    // runner fills in their default targets.
-    FaultPlan plan;
-    plan.type = fault_from_name(name);
-    plan.inject_at = config.inject_at;
-    plan.recover_at = config.recover_at;
-    plan.loss_probability = config.loss_probability;
-    plan.throttle_bytes_per_s = config.throttle_bytes_per_s;
-    plan.gray_latency = config.gray_latency;
-    plan.eclipse_victim = config.eclipse_victim;
-    plan.eclipse_delay = config.eclipse_delay;
-    plan.eclipse_filter = config.eclipse_filter;
-    config.extra_faults.add(std::move(plan));
-  }
+  apply_run_window(config, spec.duration_s);
   config.client_fanout = static_cast<int>(spec.fanout);
   config.client_matching = static_cast<std::size_t>(spec.matching);
   config.vcpus = spec.vcpus;
@@ -563,6 +537,32 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
         config.inject_at = (3 * period) / 8;
         config.recover_at = (5 * period) / 8;
       }
+    }
+  }
+  // One plan per fault type on the window fixed above, each carrying the
+  // spec's knob values: the primary with its explicit targets, then every
+  // composed fault with the runner's default targets.
+  FaultPlan plan = paper_plan(config);
+  plan.targets = spec.fault_targets;
+  plan.loss_probability = spec.loss_probability;
+  plan.throttle_bytes_per_s = spec.throttle_bytes_per_s;
+  plan.gray_latency = sim::seconds(spec.gray_delay_s);
+  plan.eclipse_victim = static_cast<net::NodeId>(spec.eclipse_victim);
+  plan.eclipse_delay = sim::seconds(spec.eclipse_delay_s);
+  plan.eclipse_filter = spec.eclipse_filter;
+  config.fault_schedule.add(plan);
+  plan.targets.clear();
+  for (const std::string& name : spec.extra_faults) {
+    plan.type = fault_from_name(name);
+    config.fault_schedule.add(plan);
+  }
+  // Reject what the fault engine would reject at arm time now, before a
+  // fault-free twin has simulated the whole run.
+  for (const FaultPlan& armed : resolved_schedule(config).plans) {
+    const std::string plan_error = validate(armed, config.n);
+    if (!plan_error.empty()) {
+      throw std::invalid_argument("scenario: invalid fault plan: " +
+                                  plan_error);
     }
   }
   config.resilience.enabled = spec.resilient;

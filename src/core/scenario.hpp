@@ -38,7 +38,8 @@ struct ScenarioSpec {
   std::string fault = "none";
   /// Explicit target override; empty selects the paper's defaults.
   std::vector<net::NodeId> fault_targets{};
-  /// Fault types composed onto the primary window (engine v2).
+  /// Fault types composed onto the primary window (engine v2); every plan
+  /// carries the knob values below.
   std::vector<std::string> extra_faults{};
   double loss_probability = 0.2;
   double throttle_bytes_per_s = 64.0 * 1024.0;
@@ -118,13 +119,15 @@ struct ResolvedScenario {
   std::string metrics_path{};
 };
 
-/// Validate + resolve. Performs exactly stabl_cli's historical flag
-/// post-processing — inject/recover at the duration's integer thirds,
-/// extra plans sharing the primary window and knob values, the
-/// secure-client fanout-4/8-vCPU adjustment — so a dumped spec reproduces
-/// the flag run byte-for-byte. Throws std::invalid_argument on validation
-/// failures, unknown chain/fault names, or chain_params keys the chain
-/// does not declare.
+/// Validate + resolve. Fixes the fault window first (the duration's
+/// integer thirds, or the burst anchor of `fault_phase: burst`), then
+/// builds config.fault_schedule: the primary plan with fault_targets, then
+/// one plan per extra fault, all on that window and carrying the spec's
+/// knob values. Also applies the secure-client fanout-4/8-vCPU adjustment
+/// unless the spec set a fanout, so a dumped spec reproduces the flag run
+/// byte-for-byte. Throws std::invalid_argument on validation failures,
+/// unknown chain/fault names, chain_params keys the chain does not declare,
+/// or a resolved plan the fault engine would reject (validate(FaultPlan)).
 [[nodiscard]] ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
 }  // namespace stabl::core

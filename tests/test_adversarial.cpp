@@ -329,7 +329,7 @@ TEST(AdversarialAcceptance, EquivocationScheduleShrinksToMinimalRepro) {
       [&base](const FaultSchedule& candidate) {
         ExperimentConfig config = base;
         config.fault = FaultType::kNone;
-        config.extra_faults = candidate;
+        config.fault_schedule = candidate;
         return audit(config);
       };
   ShrinkOptions options;

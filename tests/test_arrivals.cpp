@@ -304,7 +304,10 @@ TEST(Arrivals, MixedRegionMixedShapePopulationMatchesPerClientTimers) {
 //    (leader, digest) tally, and at this seed double votes move voters
 //    between digests;
 //  * solana crash mid exchange_burst: forwarded transactions wait for dead
-//    leaders and are retried under a backlog.
+//    leaders and are retried under a backlog;
+//  * redbelly loss on explicit targets with a composed gray plan and
+//    non-default knobs: the scenario's fault_targets, knob values and extra
+//    plans must all reach the armed schedule.
 struct GoldenCase {
   const char* name;
   const char* scenario;  // scenario JSON, as stabl_cli --scenario reads it
@@ -356,7 +359,13 @@ INSTANTIATE_TEST_SUITE_P(
                        "traffic": {"preset": "exchange_burst",
                                    "flash_at_s": 15,
                                    "flash_duration_s": 30}})",
-                   "solana_crash_burst.report.json"}),
+                   "solana_crash_burst.report.json"},
+        GoldenCase{"redbelly_loss_gray_knobs",
+                   R"({"chain": "redbelly", "fault": "loss",
+                       "fault_targets": [6, 7], "loss_probability": 0.3,
+                       "extra_faults": ["gray"], "gray_delay_s": 1,
+                       "duration_s": 60})",
+                   "redbelly_loss_gray_knobs.report.json"}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.name);
     });

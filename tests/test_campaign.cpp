@@ -79,7 +79,9 @@ TEST(CampaignGateCheck, FlagsUnexpectedLiveness) {
 TEST(CampaignGateCheck, FlagsUnexpectedDeath) {
   CampaignConfig config = small_campaign();
   config.faults = {FaultType::kCrash};
-  config.base.fault_count = 4;  // beyond t: Redbelly halts
+  FaultPlan beyond_t = paper_plan(config.base);
+  beyond_t.targets = {5, 6, 7, 8};  // beyond t: Redbelly halts
+  config.base.fault_schedule.add(beyond_t);
   const CampaignResult result = run_campaign(config);
   CampaignGate gate;
   gate.max_score[FaultType::kCrash] = 1e9;
@@ -92,7 +94,9 @@ TEST(CampaignGateCheck, FlagsUnexpectedDeath) {
 TEST(CampaignGateCheck, CoarseModeIgnoresLivenessLoss) {
   CampaignConfig config = small_campaign();
   config.faults = {FaultType::kCrash};
-  config.base.fault_count = 4;  // beyond t: Redbelly halts
+  FaultPlan beyond_t = paper_plan(config.base);
+  beyond_t.targets = {5, 6, 7, 8};  // beyond t: Redbelly halts
+  config.base.fault_schedule.add(beyond_t);
   const CampaignResult result = run_campaign(config);
   CampaignGate gate;
   gate.flag_unexpected_liveness_loss = false;

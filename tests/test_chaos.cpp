@@ -265,8 +265,8 @@ TEST(ChaosCampaign, TrialConfigCarriesTheScheduleOnly) {
   EXPECT_EQ(cell.fault, FaultType::kNone);
   EXPECT_EQ(cell.seed, 99u);
   EXPECT_TRUE(cell.capture_replicas);
-  ASSERT_EQ(cell.extra_faults.plans.size(), 1u);
-  EXPECT_EQ(cell.extra_faults.plans.front().type, FaultType::kLoss);
+  ASSERT_EQ(cell.fault_schedule.plans.size(), 1u);
+  EXPECT_EQ(cell.fault_schedule.plans.front().type, FaultType::kLoss);
 }
 
 }  // namespace

@@ -50,7 +50,9 @@ TEST(ChurnFault, ChurnBeyondThresholdHaltsPeriodically) {
   config.inject_at = sim::sec(30);
   config.recover_at = sim::sec(120);
   config.fault = FaultType::kChurn;
-  config.fault_count = 4;  // t + 1
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {5, 6, 7, 8};  // t + 1
+  config.fault_schedule.add(plan);
   const ExperimentResult result = run_experiment(config);
   EXPECT_TRUE(result.live_at_end);
   // 150 s * 200 TPS ~ 29.9k submitted; halting ~4 windows of 10+ s costs
@@ -76,7 +78,9 @@ TEST(ChainMetrics, SolanaExposesPanicCount) {
   config.duration = sim::sec(200);
   config.inject_at = sim::sec(133);
   config.fault = FaultType::kCrash;
-  config.fault_count = 4;  // > t: EAH panic
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {5, 6, 7, 8};  // > t: EAH panic
+  config.fault_schedule.add(plan);
   const ExperimentResult result = run_experiment(config);
   ASSERT_TRUE(result.chain_metrics.contains("panicked"));
   // The six surviving nodes all panic (the four killed ones never check).

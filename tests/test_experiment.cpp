@@ -87,7 +87,9 @@ TEST(Experiment, ExplicitFaultCountOverridesDefault) {
   config.duration = sim::sec(40);
   config.inject_at = sim::sec(10);
   config.fault = FaultType::kCrash;
-  config.fault_count = 4;  // beyond t: the chain halts
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {5, 6, 7, 8};  // beyond t: the chain halts
+  config.fault_schedule.add(plan);
   const ExperimentResult result = run_experiment(config);
   EXPECT_FALSE(result.live_at_end);
 }
@@ -123,9 +125,72 @@ TEST(RunSensitivity, DeadAlteredRunScoresInfinite) {
   config.duration = sim::sec(45);
   config.inject_at = sim::sec(15);
   config.fault = FaultType::kCrash;
-  config.fault_count = 4;  // > t: halt, no recovery
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {5, 6, 7, 8};  // > t: halt, no recovery
+  config.fault_schedule.add(plan);
   const SensitivityRun run = run_sensitivity(config);
   EXPECT_TRUE(run.score.infinite);
+}
+
+TEST(PaperCell, MovesThePrimaryPlanAndKeepsTargetsKnobsAndComposedPlans) {
+  ExperimentConfig base;
+  FaultPlan primary = paper_plan(base);
+  primary.targets = {6, 7};
+  primary.loss_probability = 0.3;
+  primary.gray_latency = sim::sec(1);
+  FaultPlan gray = primary;
+  gray.type = FaultType::kGray;
+  gray.targets.clear();
+  base.fault_schedule.add(primary).add(gray);
+
+  const ExperimentConfig cell = paper_cell(base, FaultType::kLoss);
+  EXPECT_EQ(cell.fault, FaultType::kLoss);
+  EXPECT_EQ(cell.client_fanout, 1);
+  ASSERT_EQ(cell.fault_schedule.plans.size(), 2u);
+  const FaultPlan& moved = cell.fault_schedule.plans[0];
+  EXPECT_EQ(moved.type, FaultType::kLoss);
+  EXPECT_EQ(moved.targets, (std::vector<net::NodeId>{6, 7}));
+  EXPECT_DOUBLE_EQ(moved.loss_probability, 0.3);
+  EXPECT_EQ(moved.gray_latency, sim::sec(1));
+  EXPECT_EQ(moved.inject_at, base.inject_at);
+  EXPECT_EQ(moved.recover_at, base.recover_at);
+  EXPECT_EQ(cell.fault_schedule.plans[1].type, FaultType::kGray);
+  EXPECT_TRUE(cell.fault_schedule.plans[1].targets.empty());
+
+  // The §7 geometry rides along on the secure-client cell.
+  const ExperimentConfig secure = paper_cell(base, FaultType::kSecureClient);
+  EXPECT_EQ(secure.client_fanout, 4);
+  EXPECT_DOUBLE_EQ(secure.vcpus, 8.0);
+  // An empty schedule stays empty: it stands for the cell's paper_plan.
+  EXPECT_TRUE(
+      paper_cell(ExperimentConfig{}, FaultType::kCrash).fault_schedule.empty());
+}
+
+TEST(ResolvedSchedule, FillsEmptyTargetsAndDropsPlansThatFaultNothing) {
+  // Redbelly at n = 10: t = 3, five entry nodes.
+  ExperimentConfig config;
+  config.fault = FaultType::kPartition;
+  FaultSchedule armed = resolved_schedule(config);
+  ASSERT_EQ(armed.plans.size(), 1u);
+  EXPECT_EQ(armed.plans[0].targets, (std::vector<net::NodeId>{5, 6, 7, 8}));
+  EXPECT_EQ(armed.plans[0].inject_at, config.inject_at);
+
+  FaultPlan none = paper_plan(config);
+  none.type = FaultType::kNone;
+  none.targets = {5};
+  FaultPlan secure = paper_plan(config);
+  secure.type = FaultType::kSecureClient;
+  FaultPlan crash = paper_plan(config);
+  crash.type = FaultType::kCrash;
+  config.fault_schedule.add(none).add(secure).add(crash);
+  armed = resolved_schedule(config);
+  ASSERT_EQ(armed.plans.size(), 1u);
+  EXPECT_EQ(armed.plans[0].type, FaultType::kCrash);
+  EXPECT_EQ(armed.plans[0].targets, (std::vector<net::NodeId>{5, 6, 7}));
+
+  // t = 0 at n = 3: a crash of t nodes faults nothing.
+  config.n = 3;
+  EXPECT_TRUE(resolved_schedule(config).empty());
 }
 
 }  // namespace

@@ -419,7 +419,7 @@ TEST(FaultScheduleExperiment, ComposedFaultsRunDeterministically) {
   loss.loss_probability = 0.3;  // targets default inside the runner
   loss.inject_at = sim::sec(30);
   loss.recover_at = sim::sec(90);
-  config.extra_faults.add(loss);
+  config.fault_schedule.add(paper_plan(config)).add(loss);
 
   const ExperimentResult first = run_experiment(config);
   const ExperimentResult second = run_experiment(config);
@@ -439,12 +439,14 @@ TEST(FaultScheduleExperiment, GrayPlusChurnOverlapOnTheSameTarget) {
   ExperimentConfig config;
   config.chain = ChainKind::kRedbelly;
   config.fault = FaultType::kGray;
-  config.fault_targets = {5};
   config.duration = sim::sec(120);
   config.inject_at = sim::sec(30);
   config.recover_at = sim::sec(90);
   config.seed = 33;
   config.capture_replicas = true;
+  FaultPlan gray = paper_plan(config);
+  gray.targets = {5};
+  config.fault_schedule.add(gray);
 
   FaultPlan churn;
   churn.type = FaultType::kChurn;
@@ -453,7 +455,7 @@ TEST(FaultScheduleExperiment, GrayPlusChurnOverlapOnTheSameTarget) {
   churn.recover_at = sim::sec(80);
   churn.churn_down = sim::sec(5);
   churn.churn_up = sim::sec(7);
-  config.extra_faults.add(churn);
+  config.fault_schedule.add(churn);
 
   const ExperimentResult first = run_experiment(config);
   const ExperimentResult second = run_experiment(config);

@@ -161,10 +161,12 @@ TEST(NVersion, StallDetectorCatchesPartitionedVersions) {
   // Partition 2 nodes (below the default t+1 = 4, so the majority side
   // keeps quorum and advances the frontier the stranded versions trail).
   config.fault = core::FaultType::kPartition;
-  config.fault_count = 2;
   config.duration = sim::sec(160);
   config.inject_at = sim::sec(40);
   config.recover_at = sim::sec(120);
+  core::FaultPlan plan = core::paper_plan(config);
+  plan.targets = {5, 6};
+  config.fault_schedule.add(plan);
   const core::ExperimentResult result = core::run_experiment(config);
   EXPECT_TRUE(result.live_at_end);
   ASSERT_TRUE(result.chain_metrics.count("nversion_stall_failovers") == 1);

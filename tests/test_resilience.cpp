@@ -170,10 +170,12 @@ ExperimentConfig primary_endpoint_crash(bool resilient) {
   ExperimentConfig config;
   config.chain = ChainKind::kRedbelly;
   config.fault = FaultType::kCrash;
-  config.fault_targets = {0};
   config.duration = sim::sec(180);
   config.inject_at = sim::sec(60);
   config.seed = 7;
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {0};
+  config.fault_schedule.add(plan);
   config.resilience.enabled = resilient;
   return config;
 }
@@ -218,7 +220,7 @@ TEST(ResilientClient, DeterministicAcrossRunsAtSameSeed) {
 TEST(ResilientClient, NoFaultMeansNoRetries) {
   ExperimentConfig config = primary_endpoint_crash(true);
   config.fault = FaultType::kNone;
-  config.fault_targets.clear();
+  config.fault_schedule.plans.clear();
   const ExperimentResult result = run_experiment(config);
   EXPECT_EQ(result.resilience.failovers, 0u);
   EXPECT_EQ(result.resilience.circuit_opens, 0u);
@@ -275,12 +277,14 @@ TEST(ResilientClient, RecoversUnderPacketLossToo) {
   ExperimentConfig config;
   config.chain = ChainKind::kRedbelly;
   config.fault = FaultType::kLoss;
-  config.fault_targets = {0, 1};
-  config.loss_probability = 0.4;
   config.duration = sim::sec(180);
   config.inject_at = sim::sec(60);
   config.recover_at = sim::sec(120);
   config.seed = 11;
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {0, 1};
+  plan.loss_probability = 0.4;
+  config.fault_schedule.add(plan);
 
   config.resilience.enabled = false;
   const ExperimentResult naive = run_experiment(config);

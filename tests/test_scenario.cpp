@@ -110,6 +110,13 @@ TEST(Scenario, OutOfRangeValuesAreRejected) {
   EXPECT_NE(error_of(R"({"shrink": true})")
                 .find("\"shrink\" needs \"chaos_trials\" > 0"),
             std::string::npos);
+  // The fault engine rejects zero delays, so the front door does too.
+  EXPECT_NE(error_of(R"({"gray_delay_s": 0})")
+                .find("\"gray_delay_s\" must be > 0"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"eclipse_delay_s": 0})")
+                .find("\"eclipse_delay_s\" must be > 0"),
+            std::string::npos);
 }
 
 // --------------------------------------------------------------- resolve
@@ -133,18 +140,68 @@ TEST(Scenario, ResolvePerformsTheHistoricalFlagPostprocessing) {
   spec.fanout = 2;
   EXPECT_EQ(core::resolve_scenario(spec).config.client_fanout, 2);
 
-  // Extra plans share the primary window and knob values.
+  // The schedule is the primary plan, then the extra plans, all on the
+  // primary window and carrying the knob values.
   spec = core::ScenarioSpec{};
   spec.fault = "partition";
   spec.extra_faults = {"loss"};
   spec.loss_probability = 0.3;
   const core::ResolvedScenario composed = core::resolve_scenario(spec);
-  ASSERT_EQ(composed.config.extra_faults.plans.size(), 1u);
-  const core::FaultPlan& plan = composed.config.extra_faults.plans[0];
-  EXPECT_EQ(plan.type, core::FaultType::kLoss);
-  EXPECT_EQ(plan.inject_at, sim::sec(133));
-  EXPECT_EQ(plan.recover_at, sim::sec(266));
-  EXPECT_DOUBLE_EQ(plan.loss_probability, 0.3);
+  const std::vector<core::FaultPlan>& plans =
+      composed.config.fault_schedule.plans;
+  ASSERT_EQ(plans.size(), 2u);
+  EXPECT_EQ(plans[0].type, core::FaultType::kPartition);
+  EXPECT_EQ(plans[1].type, core::FaultType::kLoss);
+  for (const core::FaultPlan& plan : plans) {
+    EXPECT_EQ(plan.inject_at, sim::sec(133));
+    EXPECT_EQ(plan.recover_at, sim::sec(266));
+    EXPECT_DOUBLE_EQ(plan.loss_probability, 0.3);
+  }
+}
+
+TEST(Scenario, ComposedPlansFollowTheBurstFaultPhase) {
+  // exchange_burst re-anchors the fault into the flash crowd; a composed
+  // plan must land in the same window as the primary, not at the thirds.
+  core::ScenarioSpec spec;
+  spec.fault = "partition";
+  spec.extra_faults = {"loss"};
+  spec.has_traffic = true;
+  spec.traffic.preset = "exchange_burst";
+  const core::ExperimentConfig config = core::resolve_scenario(spec).config;
+  EXPECT_NE(config.inject_at, sim::sec(133));
+  ASSERT_EQ(config.fault_schedule.plans.size(), 2u);
+  const core::FaultSchedule armed = core::resolved_schedule(config);
+  ASSERT_EQ(armed.plans.size(), 2u);
+  for (const core::FaultPlan& plan : armed.plans) {
+    EXPECT_EQ(plan.inject_at, config.inject_at) << core::to_string(plan.type);
+    EXPECT_EQ(plan.recover_at, config.recover_at)
+        << core::to_string(plan.type);
+  }
+}
+
+TEST(Scenario, ResolveRejectsPlansTheFaultEngineWouldReject) {
+  const auto resolve_error = [](const core::ScenarioSpec& spec) {
+    try {
+      (void)core::resolve_scenario(spec);
+      return std::string();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+  };
+  // Aptos faults t+1 = 4 eclipse attackers, nodes 5-8: victim 8 would be
+  // one of them.
+  core::ScenarioSpec spec;
+  spec.chain = "aptos";
+  spec.fault = "eclipse";
+  spec.eclipse_victim = 8;
+  EXPECT_NE(resolve_error(spec).find("victim node 8"), std::string::npos)
+      << resolve_error(spec);
+
+  spec = core::ScenarioSpec{};
+  spec.fault = "crash";
+  spec.fault_targets = {12};
+  EXPECT_NE(resolve_error(spec).find("targets node 12"), std::string::npos)
+      << resolve_error(spec);
 }
 
 TEST(Scenario, ResolveRejectsUnknownNamesAndParameters) {

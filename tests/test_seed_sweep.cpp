@@ -86,8 +86,12 @@ TEST_P(HaltSweep, QuorumLossHaltsEveryChain) {
   config.duration = sim::sec(90);
   config.inject_at = sim::sec(30);
   config.fault = FaultType::kCrash;
-  config.fault_count =
-      static_cast<int>(fault_tolerance(config.chain, config.n)) + 1;
+  // t + 1 nodes right after the five entry nodes.
+  FaultPlan plan = paper_plan(config);
+  for (std::size_t k = 0; k <= fault_tolerance(config.chain, config.n); ++k) {
+    plan.targets.push_back(static_cast<net::NodeId>(config.clients + k));
+  }
+  config.fault_schedule.add(plan);
   const ExperimentResult result = run_experiment(config);
   EXPECT_FALSE(result.live_at_end);
   EXPECT_LT(result.committed, 7500u);

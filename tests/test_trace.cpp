@@ -259,7 +259,9 @@ TEST(Lifecycle, ResubmitHopsMatchTheClientsResilienceStats) {
   // bookkeeping.
   ExperimentConfig config = faulted_cell();
   config.fault = FaultType::kCrash;
-  config.fault_targets = {0};
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {0};
+  config.fault_schedule.add(plan);
   config.resilience.enabled = true;
   sim::LifecycleRecorder recorder;
   config.lifecycle = &recorder;
