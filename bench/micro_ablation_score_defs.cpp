@@ -39,12 +39,6 @@ void synthetic_outlier(benchmark::State& state) {
 }
 BENCHMARK(synthetic_outlier)->Iterations(1)->Unit(benchmark::kSecond);
 
-void measured_pair(benchmark::State& state) {
-  bench::run_pair_benchmark(state, core::ChainKind::kRedbelly,
-                            core::FaultType::kCrash);
-}
-BENCHMARK(measured_pair)->Iterations(1)->Unit(benchmark::kSecond);
-
 void print_figure() {
   std::printf("\n=== Ablation: sensitivity-score endpoint definitions"
               " ===\n");
@@ -73,8 +67,8 @@ void print_figure() {
        core::format_score(score_with(
            baseline, shifted, core::ScoreEndpoint::kPerDistribution))});
 
-  const core::SensitivityRun& run = bench::cached_run(
-      core::ChainKind::kRedbelly, core::FaultType::kCrash);
+  const core::SensitivityRun run = core::run_sensitivity(
+      bench::paper_config(core::ChainKind::kRedbelly, core::FaultType::kCrash));
   table.add_row(
       {"measured: redbelly f=t crash",
        core::format_score(score_with(run.baseline.latencies,

@@ -1,48 +1,29 @@
 // Extension: sensitivity to transient communication *delays* (tc-netem
 // delay rather than loss). The paper observed that delays alone crash all
 // of Solana's validators and that Avalanche "stops working when some
-// messages arrive 2 minutes late"; this bench scores all five chains under
-// a 120 s delay injected on f = t+1 nodes for the middle third of the run.
-#include "fig3_sensitivity_bars.hpp"
+// messages arrive 2 minutes late"; this program scores all five chains
+// under a 120 s delay injected on f = t+1 nodes for the middle third of the
+// run, as one campaign over {delay}, and prints the Fig. 3-style panel.
+#include "bench_common.hpp"
 
 #include <cstdio>
 
-namespace {
+#include "core/campaign.hpp"
+#include "core/parallel.hpp"
 
-using namespace stabl;
-
-void algorand(benchmark::State& s) {
-  bench::run_pair_benchmark(s, core::ChainKind::kAlgorand,
-                            core::FaultType::kDelay);
+int main() {
+  using namespace stabl;
+  core::CampaignConfig config;
+  config.faults = {core::FaultType::kDelay};
+  core::apply_run_window(config.base, bench::bench_duration_s());
+  config.jobs = core::default_jobs();
+  const core::CampaignResult result = core::run_campaign(config);
+  std::printf(
+      "%s",
+      core::sensitivity_panel(
+          config, result, core::FaultType::kDelay,
+          "Extension: sensitivity to 120s communication delays on f=t+1 "
+          "nodes")
+          .c_str());
+  return 0;
 }
-void aptos(benchmark::State& s) {
-  bench::run_pair_benchmark(s, core::ChainKind::kAptos,
-                            core::FaultType::kDelay);
-}
-void avalanche(benchmark::State& s) {
-  bench::run_pair_benchmark(s, core::ChainKind::kAvalanche,
-                            core::FaultType::kDelay);
-}
-void redbelly(benchmark::State& s) {
-  bench::run_pair_benchmark(s, core::ChainKind::kRedbelly,
-                            core::FaultType::kDelay);
-}
-void solana(benchmark::State& s) {
-  bench::run_pair_benchmark(s, core::ChainKind::kSolana,
-                            core::FaultType::kDelay);
-}
-BENCHMARK(algorand)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(aptos)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(avalanche)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(redbelly)->Iterations(1)->Unit(benchmark::kSecond);
-BENCHMARK(solana)->Iterations(1)->Unit(benchmark::kSecond);
-
-void print_figure() {
-  bench::print_fig3_panel(
-      core::FaultType::kDelay,
-      "Extension: sensitivity to 120s communication delays on f=t+1 nodes");
-}
-
-}  // namespace
-
-STABL_BENCH_MAIN(print_figure)

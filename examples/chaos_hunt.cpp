@@ -24,9 +24,10 @@
 // DIR) from overwriting each other — each next to a Perfetto timeline of
 // the minimized repro run at the same stem with .trace.json
 // (ui.perfetto.dev).
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "cli_common.hpp"
@@ -96,26 +97,17 @@ int main(int argc, char** argv) {
       config.chains = cli::parse_chain_list_or_exit(value(), argv[0],
                                                     cli::help_hint(argv[0]));
     } else if (arg == "--trials") {
-      const long trials = std::atol(value().c_str());
-      if (trials < 1) {
-        cli::fail(argv[0], "--trials must be >= 1", cli::help_hint(argv[0]));
-      }
-      config.trials_per_chain = static_cast<std::size_t>(trials);
+      config.trials_per_chain = static_cast<std::size_t>(
+          cli::parse_integer_or_exit(value(), argv[0], arg, 1));
     } else if (arg == "--seed") {
-      config.seed = std::strtoull(value().c_str(), nullptr, 10);
+      config.seed = static_cast<std::uint64_t>(
+          cli::parse_integer_or_exit(value(), argv[0], arg, 0));
     } else if (arg == "--duration") {
-      const long duration_s = std::atol(value().c_str());
-      if (duration_s < 30) {
-        cli::fail(argv[0], "--duration must be >= 30",
-                  cli::help_hint(argv[0]));
-      }
-      config.base.duration = sim::sec(duration_s);
+      config.base.duration =
+          sim::sec(cli::parse_integer_or_exit(value(), argv[0], arg, 30));
     } else if (arg == "--jobs") {
-      const long jobs = std::atol(value().c_str());
-      if (jobs < 1) {
-        cli::fail(argv[0], "--jobs must be >= 1", cli::help_hint(argv[0]));
-      }
-      config.jobs = static_cast<unsigned>(jobs);
+      config.jobs = static_cast<unsigned>(cli::parse_integer_or_exit(
+          value(), argv[0], arg, 1, std::numeric_limits<unsigned>::max()));
     } else if (arg == "--shrink") {
       config.shrink = true;
     } else if (arg == "--adversarial") {

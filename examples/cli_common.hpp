@@ -1,15 +1,21 @@
-// cli_common — flag-parsing helpers shared by the example drivers
-// (stabl_cli, regression_gate, partition_study, chaos_hunt).
+// cli_common — argument-parsing helpers shared by the example programs
+// (stabl_cli, regression_gate, chaos_hunt).
 //
 // Chain and fault names resolve through the registry
-// (core::parse_chain_name / core::fault_from_name), so every driver gets
+// (core::parse_chain_name / core::fault_from_name), so every program gets
 // case-insensitive matching and error messages that list the valid names,
-// and a newly linked chain plugin is accepted everywhere at once.
+// and a newly linked chain plugin is accepted everywhere at once. Numeric
+// arguments are as strict as the scenario JSON path: the whole token must
+// parse and the value must be finite and in range, or the program exits 2
+// naming the argument.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -38,6 +44,45 @@ inline std::string help_hint(const char* argv0) {
 [[noreturn]] inline void fail_unknown_flag(const char* argv0,
                                            const std::string& flag) {
   fail(argv0, "unknown flag '" + flag + "'", help_hint(argv0));
+}
+
+/// The largest magnitude a scenario file accepts for an integer field, so a
+/// flag never takes a value its --dump-scenario output could not replay.
+inline constexpr std::int64_t kMaxInteger = 9'000'000'000'000'000;
+
+/// The whole of `text` as a base-10 integer in [min, max]; exits 2 naming
+/// the argument `name` otherwise ("30x", "abc", "" and "+1" are rejected).
+inline std::int64_t parse_integer_or_exit(const std::string& text,
+                                          const char* argv0,
+                                          const std::string& name,
+                                          std::int64_t min,
+                                          std::int64_t max = kMaxInteger) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < min || value > max) {
+    fail(argv0,
+         name + " must be an integer >= " + std::to_string(min) +
+             (max < kMaxInteger ? " and <= " + std::to_string(max) : "") +
+             " (got '" + text + "')",
+         help_hint(argv0));
+  }
+  return value;
+}
+
+/// The whole of `text` as a finite decimal number; exits 2 naming the
+/// argument `name` otherwise ("on", "0.5s", "nan" and "1e999" are
+/// rejected). Field ranges are checked where the value is used.
+inline double parse_number_or_exit(const std::string& text, const char* argv0,
+                                   const std::string& name) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value)) {
+    fail(argv0, name + " must be a finite number (got '" + text + "')",
+         help_hint(argv0));
+  }
+  return value;
 }
 
 /// Registry-backed chain lookup, case-insensitive; exits 2 listing the
@@ -85,8 +130,8 @@ inline std::vector<core::ChainKind> parse_chain_list_or_exit(
   return chains;
 }
 
-/// Comma-separated node ids ("0,1"); exits 2 on an empty list or an empty
-/// token. `flag` names the flag in the error message.
+/// Comma-separated node ids ("0,1"); exits 2 on an empty list or on a
+/// token that is not a node id. `flag` names the flag in the error message.
 inline std::vector<net::NodeId> parse_node_ids_or_exit(
     const std::string& list, const char* argv0, const std::string& flag,
     const std::string& hint = {}) {
@@ -96,9 +141,9 @@ inline std::vector<net::NodeId> parse_node_ids_or_exit(
     const std::string token =
         list.substr(pos, comma == std::string::npos ? std::string::npos
                                                     : comma - pos);
-    if (token.empty()) fail(argv0, flag + " has an empty id", hint);
-    ids.push_back(
-        static_cast<net::NodeId>(std::strtoul(token.c_str(), nullptr, 10)));
+    ids.push_back(static_cast<net::NodeId>(parse_integer_or_exit(
+        token, argv0, flag + " id", 0,
+        std::numeric_limits<net::NodeId>::max())));
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }

@@ -1,14 +1,21 @@
-// regression_gate — the CI use case the paper pitches STABL for: run the
-// fault-tolerance matrix on every build and fail the pipeline when a
-// chain's sensitivity regresses past the gate, or when a chain that used
-// to survive a condition stops doing so. Multi-seed sweeps gate on the
-// WORST seed, and the matrix fans out across worker threads.
+// regression_gate — reproduces the paper and gates on it. It runs the
+// fault-tolerance matrix (every paper chain x crash/transient/partition/
+// secure-client) once, prints every paper figure from that one campaign
+// (Figs. 1, 3a-d, 4-6 and 7, each from the cells' first-seed runs), and
+// then applies the CI gate the paper pitches STABL for: fail the pipeline
+// when a chain's sensitivity regresses past the gate, or when a chain that
+// used to survive a condition stops doing so. Multi-seed sweeps gate on the
+// WORST seed. The matrix fans out across worker threads; stdout is
+// byte-identical for any jobs value, and progress goes to stderr.
 //
 // Usage: regression_gate [duration_seconds] [seed] [num_seeds] [jobs]
 // Exit code 0 = gate passed, 1 = violations found, 2 = usage error.
+#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "cli_common.hpp"
 #include "core/campaign.hpp"
@@ -17,17 +24,21 @@
 
 namespace {
 
+using namespace stabl;
+
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
       out,
       "usage: %s [duration_seconds] [seed] [num_seeds] [jobs] [--help]\n"
       "\n"
-      "CI regression gate: run the STABL fault-tolerance matrix (every\n"
-      "paper chain x crash/transient/partition/secure-client) and fail\n"
-      "the pipeline when a chain's sensitivity regresses past the\n"
-      "paper-shaped bounds, or when a chain that used to survive a\n"
-      "condition stops doing so. Multi-seed sweeps gate on the WORST\n"
-      "seed. Exit 0 = gate passed, 1 = violations, 2 = usage error.\n"
+      "Reproduce the paper and gate on it: run the STABL fault-tolerance\n"
+      "matrix once (every paper chain x crash/transient/partition/\n"
+      "secure-client), print one line per cell and seed and every paper\n"
+      "figure (Figs. 1, 3a-d, 4-6 and 7), then fail the pipeline when a\n"
+      "chain's sensitivity regresses past the paper-shaped bounds, or when\n"
+      "a chain that used to survive a condition stops doing so. Multi-seed\n"
+      "sweeps gate on the WORST seed. Progress goes to stderr.\n"
+      "Exit 0 = gate passed, 1 = violations, 2 = usage error.\n"
       "\n"
       "arguments:\n"
       "  duration_seconds  simulated seconds per run, >= 30 (default 400;\n"
@@ -35,22 +46,103 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  seed              first RNG seed of the sweep (default 42)\n"
       "  num_seeds         consecutive seeds per cell, >= 1 (default 1)\n"
       "  jobs              worker threads, >= 1 (default: hardware\n"
-      "                    concurrency); results are identical for any\n"
+      "                    concurrency); stdout is identical for any\n"
       "                    value\n",
       argv0);
+}
+
+struct Figure {
+  core::FaultType fault;
+  const char* title;
+};
+
+constexpr Figure kPanels[] = {
+    {core::FaultType::kCrash,
+     "Fig. 3a — sensitivity to f=t crashes (Resilience, §4)"},
+    {core::FaultType::kTransient,
+     "Fig. 3b — sensitivity to f=t+1 transient node failures "
+     "(Recoverability, §5)"},
+    {core::FaultType::kPartition,
+     "Fig. 3c — sensitivity to a transient partition of f=t+1 nodes (§6)"},
+    {core::FaultType::kSecureClient,
+     "Fig. 3d — sensitivity to redundant requests / secure client (§7)"},
+};
+
+constexpr Figure kThroughputFigures[] = {
+    {core::FaultType::kCrash,
+     "Fig. 4 — throughput over time, f=t simultaneous crashes (§4)"},
+    {core::FaultType::kTransient,
+     "Fig. 5 — throughput over time, f=t+1 transient node failures (§5)"},
+    {core::FaultType::kPartition,
+     "Fig. 6 — throughput over time, transient partition of f=t+1 nodes "
+     "(§6)"},
+};
+
+// Fig. 1: the two eCDFs of Aptos latencies (baseline vs f = t crashes) and
+// the between-areas sensitivity score.
+void print_fig1(const core::CampaignResult& result) {
+  const core::SensitivityRun& run =
+      *result.get(core::ChainKind::kAptos, core::FaultType::kCrash);
+  std::printf("\n=== Fig. 1: sensitivity of Aptos to f=t crashes ===\n");
+  const core::Ecdf baseline(run.baseline.latencies);
+  const core::Ecdf altered(run.altered.latencies);
+  std::printf("%s\n", core::render_ecdf_pair(baseline, altered).c_str());
+  std::printf("baseline: n=%zu mean=%.2fs p99=%.2fs (area S1=%.2f)\n",
+              baseline.count(), baseline.mean(),
+              run.baseline.p99_latency_s, run.score.baseline_area);
+  std::printf("altered : n=%zu mean=%.2fs p99=%.2fs (area S2=%.2f)\n",
+              altered.count(), altered.mean(), run.altered.p99_latency_s,
+              run.score.altered_area);
+  std::printf("sensitivity |S1-S2| = %s\n",
+              core::format_score(run.score).c_str());
+}
+
+// Figs. 4-6: each chain's altered throughput over time, with the fault
+// markers, its baseline average and a CSV series for plotting.
+void print_throughput_figure(const core::CampaignConfig& config,
+                             const core::CampaignResult& result,
+                             const Figure& figure, long duration) {
+  std::printf("\n=== %s ===\n", figure.title);
+  std::printf("fault injected at %lds", duration / 3);
+  if (figure.fault != core::FaultType::kCrash) {
+    std::printf(", cleared at %lds", 2 * duration / 3);
+  }
+  std::printf(" (marked by the bucket boundaries below)\n");
+  for (const core::ChainKind chain : config.chains) {
+    const core::SensitivityRun& run = *result.get(chain, figure.fault);
+    std::printf("\n--- %s (altered: %s) ---\n",
+                core::to_string(chain).c_str(),
+                core::to_string(figure.fault).c_str());
+    std::printf("%s", core::render_timeseries(run.altered.throughput,
+                                              static_cast<double>(
+                                                  duration / 40),
+                                              /*max_scale=*/0.0)
+                          .c_str());
+    std::printf("baseline average: %.1f tps; altered committed %llu/%llu"
+                "%s\n",
+                core::Ecdf(run.baseline.throughput).mean(),
+                static_cast<unsigned long long>(run.altered.committed),
+                static_cast<unsigned long long>(run.altered.submitted),
+                run.altered.live_at_end ? "" : "  [LIVENESS LOST]");
+    std::printf("csv,%s,altered_tps", core::to_string(chain).c_str());
+    for (const double tps : run.altered.throughput) {
+      std::printf(",%.0f", tps);
+    }
+    std::printf("\n");
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace stabl;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
         std::strcmp(argv[i], "-h") == 0) {
       print_usage(stdout, argv[0]);
       return 0;
     }
-    if (argv[i][0] == '-' && std::atol(argv[i]) == 0) {
+    if (argv[i][0] == '-' &&
+        !std::isdigit(static_cast<unsigned char>(argv[i][1]))) {
       cli::fail_unknown_flag(argv[0], argv[i]);
     }
   }
@@ -59,44 +151,71 @@ int main(int argc, char** argv) {
               "expected at most [duration_seconds] [seed] [num_seeds] [jobs]",
               cli::help_hint(argv[0]));
   }
-  const long duration_s = argc > 1 ? std::atol(argv[1]) : 400;
-  const unsigned long seed =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 42;
-  const long num_seeds = argc > 3 ? std::atol(argv[3]) : 1;
-  const long jobs =
-      argc > 4 ? std::atol(argv[4]) : static_cast<long>(core::default_jobs());
-  if (duration_s < 30) {
-    cli::fail(argv[0], "duration_seconds must be >= 30",
-              cli::help_hint(argv[0]));
-  }
-  if (num_seeds < 1) {
-    cli::fail(argv[0], "num_seeds must be >= 1", cli::help_hint(argv[0]));
-  }
-  if (jobs < 1) {
-    cli::fail(argv[0], "jobs must be >= 1", cli::help_hint(argv[0]));
-  }
+  const long duration_s =
+      argc > 1 ? cli::parse_integer_or_exit(argv[1], argv[0],
+                                            "duration_seconds", 30)
+               : 400;
+  const std::uint64_t seed =
+      argc > 2 ? cli::parse_integer_or_exit(argv[2], argv[0], "seed", 0) : 42;
+  const long num_seeds =
+      argc > 3 ? cli::parse_integer_or_exit(argv[3], argv[0], "num_seeds", 1)
+               : 1;
+  const unsigned jobs =
+      argc > 4 ? static_cast<unsigned>(cli::parse_integer_or_exit(
+                     argv[4], argv[0], "jobs", 1,
+                     std::numeric_limits<unsigned>::max()))
+               : core::default_jobs();
 
   core::CampaignConfig config;
   config.base.seed = seed;
   core::apply_run_window(config.base, duration_s);
   config.num_seeds = static_cast<std::size_t>(num_seeds);
-  config.jobs = static_cast<unsigned>(jobs);
-  config.on_cell_done = [](core::ChainKind chain, core::FaultType fault,
-                           std::uint64_t cell_seed,
-                           const core::SensitivityRun& run) {
-    std::printf("  %-9s %-13s seed %-6llu -> %s\n",
-                core::to_string(chain).c_str(),
-                core::to_string(fault).c_str(),
-                static_cast<unsigned long long>(cell_seed),
-                core::format_score(run.score).c_str());
-  };
+  config.jobs = jobs;
+  config.heartbeat = true;
 
-  std::printf(
-      "running the STABL matrix (%lds per run, seeds %lu..%lu, %ld jobs)"
-      "...\n",
-      duration_s, seed, seed + static_cast<unsigned long>(num_seeds) - 1,
-      jobs);
+  std::printf("running the STABL matrix (%lds per run, seeds %llu..%llu)...\n",
+              duration_s, static_cast<unsigned long long>(seed),
+              static_cast<unsigned long long>(seed + num_seeds - 1));
+  std::fflush(stdout);
   const core::CampaignResult result = core::run_campaign(config);
+
+  for (const core::ChainKind chain : config.chains) {
+    for (const core::FaultType fault : config.faults) {
+      const auto& runs = result.seed_runs.at({chain, fault});
+      for (std::size_t k = 0; k < runs.size(); ++k) {
+        const core::SensitivityRun& run = runs[k];
+        const std::string recovery =
+            run.altered.recovery_seconds >= 0.0
+                ? core::Table::num(run.altered.recovery_seconds, 1) + "s"
+                : "-";
+        std::printf(
+            "  %-9s %-13s seed %-6llu -> %8s  committed %6llu/%6llu  mean "
+            "%6.2fs -> %6.2fs  recovery %6s  live=%s\n",
+            core::to_string(chain).c_str(), core::to_string(fault).c_str(),
+            static_cast<unsigned long long>(result.seeds[k]),
+            core::format_score(run.score).c_str(),
+            static_cast<unsigned long long>(run.altered.committed),
+            static_cast<unsigned long long>(run.altered.submitted),
+            run.baseline.mean_latency_s, run.altered.mean_latency_s,
+            recovery.c_str(), run.altered.live_at_end ? "yes" : "NO");
+      }
+    }
+  }
+
+  print_fig1(result);
+  for (const Figure& panel : kPanels) {
+    std::printf("%s", core::sensitivity_panel(config, result, panel.fault,
+                                              panel.title)
+                          .c_str());
+  }
+  for (const Figure& figure : kThroughputFigures) {
+    print_throughput_figure(config, result, figure, duration_s);
+  }
+  std::printf("\n=== Fig. 7: sensitivity radar of the tested blockchains"
+              " ===\n%s",
+              result.radar.to_table().c_str());
+  std::printf("inf = liveness lost; trailing '*' = the altered environment"
+              " improved latency\n");
 
   // The gate encodes the paper's measured shape with headroom. The shape
   // expectations (which chains lose liveness, the timeout arithmetic) are
@@ -118,7 +237,7 @@ int main(int argc, char** argv) {
         {core::ChainKind::kSolana, core::FaultType::kPartition},
     };
   } else {
-    std::printf("(short run: paper-shape expectations need >=400s;"
+    std::printf("\n(short run: paper-shape expectations need >=400s;"
                 " applying coarse sanity bounds only)\n");
     const double scale = static_cast<double>(duration_s) / 400.0;
     gate.max_score = {
@@ -129,19 +248,18 @@ int main(int argc, char** argv) {
   }
 
   const auto violations = core::check_gate(result, gate);
-  std::printf("\n%s\n", result.radar.to_table().c_str());
   if (num_seeds > 1) {
-    std::printf("seed sweep (mean+-stddev [min..max], inf = liveness "
-                "losses):\n%s\n",
+    std::printf("\nseed sweep (mean+-stddev [min..max], inf = liveness "
+                "losses):\n%s",
                 result.radar.sweep_table().c_str());
   }
   if (violations.empty()) {
-    std::printf("gate PASSED: all %zu cells within bounds (worst of %ld "
+    std::printf("\ngate PASSED: all %zu cells within bounds (worst of %ld "
                 "seed%s per cell)\n",
                 result.runs.size(), num_seeds, num_seeds == 1 ? "" : "s");
     return 0;
   }
-  std::printf("gate FAILED (%zu violations):\n", violations.size());
+  std::printf("\ngate FAILED (%zu violations):\n", violations.size());
   for (const auto& violation : violations) {
     std::printf("  - %s\n", violation.c_str());
   }

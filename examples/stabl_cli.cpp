@@ -85,9 +85,9 @@
 //             --loss-prob 0.3 --resilient          (one line in the shell)
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -348,30 +348,27 @@ int main(int argc, char** argv) {
           cli::parse_fault_or_exit(value(), argv[0], cli::help_hint(argv[0])));
     } else if (arg == "--duration") {
       experiment_flag();
-      spec.duration_s = std::atol(value().c_str());
-      if (spec.duration_s < 30) {
-        fail_usage(argv[0], "--duration must be >= 30");
-      }
+      spec.duration_s = cli::parse_integer_or_exit(value(), argv[0], arg, 30);
     } else if (arg == "--seed") {
       experiment_flag();
-      spec.seed = std::strtoull(value().c_str(), nullptr, 10);
+      spec.seed = static_cast<std::uint64_t>(
+          cli::parse_integer_or_exit(value(), argv[0], arg, 0));
     } else if (arg == "--seeds") {
       experiment_flag();
-      spec.num_seeds = std::atol(value().c_str());
-      if (spec.num_seeds < 1) fail_usage(argv[0], "--seeds must be >= 1");
+      spec.num_seeds = cli::parse_integer_or_exit(value(), argv[0], arg, 1);
     } else if (arg == "--jobs") {
       experiment_flag();
-      spec.jobs = std::atol(value().c_str());
-      if (spec.jobs < 1) fail_usage(argv[0], "--jobs must be >= 1");
+      spec.jobs = cli::parse_integer_or_exit(
+          value(), argv[0], arg, 1, std::numeric_limits<unsigned>::max());
     } else if (arg == "--fanout") {
       experiment_flag();
-      spec.fanout = std::atoi(value().c_str());
+      spec.fanout = cli::parse_integer_or_exit(value(), argv[0], arg, 1);
     } else if (arg == "--matching") {
       experiment_flag();
-      spec.matching = std::atoi(value().c_str());
+      spec.matching = cli::parse_integer_or_exit(value(), argv[0], arg, 0);
     } else if (arg == "--vcpus") {
       experiment_flag();
-      spec.vcpus = std::atof(value().c_str());
+      spec.vcpus = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--workload") {
       experiment_flag();
       spec.workload = value();
@@ -404,40 +401,44 @@ int main(int argc, char** argv) {
           cli::parse_fault_or_exit(value(), argv[0], cli::help_hint(argv[0]))));
     } else if (arg == "--loss-prob") {
       experiment_flag();
-      spec.loss_probability = std::atof(value().c_str());
+      spec.loss_probability = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--gray-delay") {
       experiment_flag();
-      spec.gray_delay_s = std::atof(value().c_str());
+      spec.gray_delay_s = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--throttle-bps") {
       experiment_flag();
-      spec.throttle_bytes_per_s = std::atof(value().c_str());
+      spec.throttle_bytes_per_s =
+          cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--eclipse-victim") {
       experiment_flag();
-      spec.eclipse_victim = std::atol(value().c_str());
+      spec.eclipse_victim =
+          cli::parse_integer_or_exit(value(), argv[0], arg, 0);
     } else if (arg == "--eclipse-delay") {
       experiment_flag();
-      spec.eclipse_delay_s = std::atof(value().c_str());
+      spec.eclipse_delay_s = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--eclipse-filter") {
       experiment_flag();
-      spec.eclipse_filter = std::atof(value().c_str());
+      spec.eclipse_filter = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--resilient") {
       experiment_flag();
       spec.resilient = true;
     } else if (arg == "--commit-timeout") {
       experiment_flag();
-      spec.commit_timeout_s = std::atof(value().c_str());
+      spec.commit_timeout_s = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--hedge") {
       experiment_flag();
       spec.hedge = true;
     } else if (arg == "--hedge-percentile") {
       experiment_flag();
-      spec.hedge_percentile = std::atof(value().c_str());
+      spec.hedge_percentile = cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--hedge-min") {
       experiment_flag();
-      spec.hedge_min_delay_s = std::atof(value().c_str());
+      spec.hedge_min_delay_s =
+          cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--hedge-max") {
       experiment_flag();
-      spec.hedge_max_delay_s = std::atof(value().c_str());
+      spec.hedge_max_delay_s =
+          cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--endpoint-scoring") {
       experiment_flag();
       spec.endpoint_scoring = true;
@@ -456,8 +457,9 @@ int main(int argc, char** argv) {
       if (eq == std::string::npos || eq == 0) {
         fail_usage(argv[0], "--chain-param expects KEY=VALUE");
       }
-      spec.chain_params[assignment.substr(0, eq)] =
-          std::atof(assignment.c_str() + eq + 1);
+      const std::string key = assignment.substr(0, eq);
+      spec.chain_params[key] = cli::parse_number_or_exit(
+          assignment.substr(eq + 1), argv[0], arg + " " + key);
     } else if (arg == "--no-throttling") {
       experiment_flag();
       spec.chain_params["throttling"] = 0.0;
@@ -466,13 +468,11 @@ int main(int argc, char** argv) {
       spec.chain_params["warmup_epochs"] = 0.0;
     } else if (arg == "--max-idle") {
       experiment_flag();
-      spec.chain_params["max_idle_s"] = std::atof(value().c_str());
+      spec.chain_params["max_idle_s"] =
+          cli::parse_number_or_exit(value(), argv[0], arg);
     } else if (arg == "--chaos") {
       experiment_flag();
-      spec.chaos_trials = std::atol(value().c_str());
-      if (spec.chaos_trials < 1) {
-        fail_usage(argv[0], "--chaos must be >= 1");
-      }
+      spec.chaos_trials = cli::parse_integer_or_exit(value(), argv[0], arg, 1);
     } else if (arg == "--shrink") {
       experiment_flag();
       spec.shrink = true;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <sstream>
 
 #include "core/chaos.hpp"
@@ -179,7 +178,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // index below is deterministic regardless of completion order.
   std::vector<SensitivityRun> slots(grid.size());
   std::vector<double> wall_slots(grid.size(), 0.0);
-  std::mutex progress_mutex;
   Heartbeat heartbeat("campaign", grid.size(), config.heartbeat);
   ThreadPool pool(config.jobs);
   pool.parallel_for(grid.size(), [&](std::size_t i) {
@@ -193,13 +191,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     cell.trace = nullptr;
     cell.metrics = nullptr;
     cell.lifecycle = nullptr;
-    SensitivityRun run = run_sensitivity(cell);
+    slots[i] = run_sensitivity(cell);
     wall_slots[i] = cell_timer.elapsed_ms();
-    if (config.on_cell_done) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      config.on_cell_done(grid[i].chain, grid[i].fault, grid[i].seed, run);
-    }
-    slots[i] = std::move(run);
     heartbeat.tick();
   });
 
@@ -220,6 +213,32 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   }
   result.total_wall_ms = campaign_timer.elapsed_ms();
   return result;
+}
+
+std::string sensitivity_panel(const CampaignConfig& config,
+                              const CampaignResult& result, FaultType fault,
+                              const std::string& title) {
+  Table table({"chain", "f", "t", "sensitivity", "benefits", "recovery(s)",
+               "committed", "live"});
+  for (const ChainKind chain : config.chains) {
+    const SensitivityRun& run = result.runs.at({chain, fault});
+    ExperimentConfig cell = paper_cell(config.base, fault);
+    cell.chain = chain;
+    const FaultSchedule schedule = resolved_schedule(cell);
+    const std::size_t f =
+        schedule.empty() ? 0 : schedule.plans.front().targets.size();
+    table.add_row(
+        {to_string(chain), std::to_string(f),
+         std::to_string(fault_tolerance(chain, config.base.n)),
+         format_score(run.score), run.score.benefits ? "yes (striped)" : "-",
+         run.altered.recovery_seconds >= 0.0
+             ? Table::num(run.altered.recovery_seconds, 1)
+             : "-",
+         std::to_string(run.altered.committed) + "/" +
+             std::to_string(run.altered.submitted),
+         run.altered.live_at_end ? "yes" : "NO (inf)"});
+  }
+  return "\n=== " + title + " ===\n" + table.to_string();
 }
 
 std::vector<std::string> check_gate(const CampaignResult& result,
@@ -512,7 +531,6 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
   // the unmitigated run of the same cell, and slots are gathered in grid
   // order — byte-identical output for any jobs value.
   std::vector<MitigationPair> slots(grid.size());
-  std::mutex progress_mutex;
   Heartbeat heartbeat("mitigation", grid.size(), config.heartbeat);
   ThreadPool pool(config.jobs);
   pool.parallel_for(grid.size(), [&](std::size_t i) {
@@ -539,10 +557,6 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
     pair.schedule = cell.schedule;
     pair.unmitigated = run_sensitivity(unmitigated);
     pair.mitigated = run_sensitivity(mitigated);
-    if (config.on_pair_done) {
-      std::lock_guard<std::mutex> lock(progress_mutex);
-      config.on_pair_done(pair);
-    }
     slots[i] = std::move(pair);
     heartbeat.tick();
   });

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -42,13 +41,6 @@ struct CampaignConfig {
   /// Worker lanes for the (chain x fault x seed) grid, including the
   /// calling thread; 1 = serial. Output is byte-identical for any value.
   unsigned jobs = 1;
-  /// Invoked after each (cell, seed) completes (progress reporting); may
-  /// be empty. Serialized behind an internal mutex — at most one
-  /// invocation runs at a time — but with jobs > 1 the *completion order*
-  /// across cells is nondeterministic.
-  std::function<void(ChainKind, FaultType, std::uint64_t /*seed*/,
-                     const SensitivityRun&)>
-      on_cell_done;
   /// Wall-clock progress heartbeat on stderr (core::Heartbeat): completed
   /// cells, cells/s and an ETA. Excluded from every deterministic
   /// serializer, like cell_wall_ms.
@@ -120,6 +112,14 @@ struct CampaignResult {
 /// byte-identical to_csv()/to_json() output.
 CampaignResult run_campaign(const CampaignConfig& config);
 
+/// One Fig. 3 panel of a campaign run with `config`: a "=== title ===" line,
+/// then one row per chain with the first-seed sensitivity of its `fault`
+/// cell, f (targets of the cell's resolved primary plan, 0 when nothing is
+/// faulted), t at base.n, the recovery time, commits and liveness.
+std::string sensitivity_panel(const CampaignConfig& config,
+                              const CampaignResult& result, FaultType fault,
+                              const std::string& title);
+
 /// CI gate: true when every cell satisfies the paper-shaped expectations
 /// passed in `max_score` (per fault type; cells expected to be infinite
 /// are listed in `expected_infinite`). Used by examples/regression_gate.
@@ -182,9 +182,6 @@ struct MitigationConfig {
   std::size_t chaos_pairs = 0;
   unsigned jobs = 1;
   MitigationLayers layers{};
-  /// Invoked after each pair completes (progress reporting); serialized
-  /// behind a mutex, completion order nondeterministic for jobs > 1.
-  std::function<void(const struct MitigationPair&)> on_pair_done;
   /// Wall-clock progress heartbeat on stderr (see CampaignConfig).
   bool heartbeat = false;
 

@@ -142,21 +142,6 @@ TEST(CampaignParallel, ParallelOutputByteIdenticalToSerial) {
   EXPECT_EQ(a.radar.sweep_table(), b.radar.sweep_table());
 }
 
-TEST(CampaignParallel, CallbackSerializedAndCalledPerCellSeed) {
-  CampaignConfig config = tiny_campaign();
-  config.jobs = 4;
-  std::atomic<int> concurrent{0};
-  std::atomic<int> calls{0};
-  config.on_cell_done = [&](ChainKind, FaultType, std::uint64_t,
-                            const SensitivityRun&) {
-    EXPECT_EQ(concurrent.fetch_add(1), 0) << "callback must be serialized";
-    calls.fetch_add(1);
-    concurrent.fetch_sub(1);
-  };
-  run_campaign(config);
-  EXPECT_EQ(calls.load(), 4);  // 1 chain x 2 faults x 2 seeds
-}
-
 // ------------------------------------------------------------ seed sweep
 
 TEST(CampaignSweep, AggregatesAcrossSeeds) {
