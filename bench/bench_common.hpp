@@ -7,19 +7,33 @@
 
 #include <benchmark/benchmark.h>
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 
 namespace stabl::bench {
 
-inline long bench_duration_s() {
-  if (const char* env = std::getenv("STABL_BENCH_DURATION")) {
-    const long v = std::atol(env);
-    if (v >= 30) return v;
+/// Simulated seconds per run: STABL_BENCH_DURATION when set, else
+/// `fallback`. The value must be a whole integer >= 30, stabl_cli's
+/// --duration floor; anything else ("20", "abc", "60x") exits 2 naming
+/// the variable instead of silently running another geometry.
+inline long bench_duration_s(long fallback = 400) {
+  const char* env = std::getenv("STABL_BENCH_DURATION");
+  if (env == nullptr) return fallback;
+  long value = 0;
+  const char* end = env + std::strlen(env);
+  const auto [ptr, ec] = std::from_chars(env, end, value);
+  if (ec != std::errc{} || ptr != end || value < 30) {
+    std::fprintf(stderr,
+                 "STABL_BENCH_DURATION must be an integer >= 30 (got '%s')\n",
+                 env);
+    std::exit(2);
   }
-  return 400;
+  return value;
 }
 
 inline core::ExperimentConfig paper_config(core::ChainKind chain,

@@ -17,6 +17,8 @@
 // Environment:
 //   STABL_BENCH_DURATION   simulated seconds per run (default 120)
 //   STABL_MITIGATION_CSV   also write the CSV rows to this path
+#include "bench_common.hpp"
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -49,11 +51,7 @@ std::string delta_text(const core::SensitivityScore& unmitigated,
 }  // namespace
 
 int main() {
-  long duration_s = 120;
-  if (const char* env = std::getenv("STABL_BENCH_DURATION")) {
-    duration_s = std::atol(env);
-    if (duration_s < 30) duration_s = 30;
-  }
+  const long duration_s = bench::bench_duration_s(120);
 
   struct Variant {
     const char* name;

@@ -18,6 +18,7 @@
 //             [--hedge-max S] [--endpoint-scoring]
 //             [--trace FILE] [--metrics FILE]
 //   stabl_cli --scenario FILE [--format FMT] [--dump-scenario]
+//   stabl_cli --suite DIR [--format text|csv]
 //   stabl_cli [flags...] --dump-scenario
 //   stabl_cli --mitigation-study [--chain NAME] [--fault NAME] [--chaos N]
 //             [--seeds N] [--jobs N] [--format FMT]
@@ -36,6 +37,13 @@
 // max_idle_s=S, and like any --chain-param they exit 2 on a chain that
 // does not declare the key. --dump-scenario resolves the spec first, so
 // it exits 2 on anything the run itself would reject.
+//
+// --suite DIR runs every DIR/*.json spec in file-name order, each exactly
+// as --scenario would, and prints one row per run (one per seed for a
+// seed sweep): csv is "spec,seed," followed by the single-run csv columns,
+// so a checked-in expected.csv next to the specs gates the whole suite
+// with one cmp. Every spec is resolved before the first runs; an invalid
+// or chaos spec exits 2 naming its file.
 //
 // --seeds N sweeps N consecutive seeds starting at --seed and reports the
 // per-seed scores plus mean/min/max/stddev aggregates; --jobs N fans the
@@ -83,9 +91,11 @@
 //   # resilient (timeout + failover + backoff) clients:
 //   stabl_cli --chain redbelly --fault partition --extra-fault loss
 //             --loss-prob 0.3 --resilient          (one line in the shell)
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -114,6 +124,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       out,
       "usage: %s [options]\n"
       "       %s --scenario FILE [--format FMT] [--dump-scenario]\n"
+      "       %s --suite DIR [--format text|csv]\n"
       "       %s --mitigation-study [--chain NAME] [--fault NAME]\n"
       "                             [--chaos N] [--seeds N] [--jobs N]\n"
       "       %s --attribution [--chain NAME] [--fault NAME] [--jobs N]\n"
@@ -131,6 +142,10 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --dump-scenario     print the scenario JSON this invocation\n"
       "                      resolves to and exit (check it in, replay it\n"
       "                      with --scenario)\n"
+      "  --suite DIR         run every DIR/*.json scenario in file-name\n"
+      "                      order and print one row per run (per seed\n"
+      "                      for a sweep); csv output is what a checked-in\n"
+      "                      DIR/expected.csv holds\n"
       "\n"
       "experiment selection:\n"
       "  --chain NAME        registered chain, case-insensitive\n"
@@ -243,7 +258,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --list-workloads    list every arrival shape and traffic preset\n"
       "                      with a one-line description and exit 0\n"
       "  --help              print this help and exit 0\n",
-      argv0, argv0, argv0, argv0, argv0,
+      argv0, argv0, argv0, argv0, argv0, argv0,
       core::chain_registry().names_csv().c_str());
 }
 
@@ -291,12 +306,173 @@ void print_workload_list() {
   cli::fail(argv0, message, cli::help_hint(argv0));
 }
 
+// A scenario file, parsed; exits 2 naming the file when it cannot be read
+// or is not a valid spec.
+core::ScenarioSpec load_spec(const char* argv0, const std::string& path) {
+  std::ifstream file(path);
+  if (!file) {
+    std::fprintf(stderr, "%s: cannot read %s\n", argv0, path.c_str());
+    std::exit(2);
+  }
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  try {
+    return core::scenario_from_json(buffer.str());
+  } catch (const std::invalid_argument& error) {
+    fail_usage(argv0, path + ": " + error.what());
+  }
+}
+
+core::ResolvedScenario resolve(const char* argv0, const std::string& source,
+                               const core::ScenarioSpec& spec) {
+  try {
+    return core::resolve_scenario(spec);
+  } catch (const std::invalid_argument& error) {
+    fail_usage(argv0, source + error.what());
+  }
+}
+
+// What run_cell ran: every seed's pair in result.seed_runs, in seed order.
+struct CellRun {
+  core::CampaignResult result;
+  bool campaign = false;
+  std::size_t trace_events = 0;
+  std::size_t metrics_samples = 0;
+};
+
+// The one way --scenario and --suite run a resolved, non-chaos scenario: a
+// one-cell campaign when it sweeps seeds or asks for workers (its output
+// is identical for any jobs value), else one sensitivity pair with the
+// spec's trace sink and metrics registry attached and their files written.
+// `source` prefixes error messages ("" or "FILE: "); a config the run
+// rejects exits 2.
+CellRun run_cell(const char* argv0, const std::string& source,
+                 const core::ResolvedScenario& resolved, bool heartbeat) {
+  const core::ExperimentConfig& config = resolved.config;
+  const std::string& trace_path = resolved.trace_path;
+  const std::string& metrics_path = resolved.metrics_path;
+  CellRun cell;
+  cell.campaign = resolved.num_seeds > 1 || resolved.jobs > 1;
+  if (cell.campaign && (!trace_path.empty() || !metrics_path.empty())) {
+    fail_usage(argv0,
+               source +
+                   "--trace/--metrics apply to single runs; rerun the seed "
+                   "of interest without --seeds/--jobs");
+  }
+  try {
+    if (cell.campaign) {
+      core::CampaignConfig campaign;
+      campaign.chains = {config.chain};
+      campaign.faults = {config.fault};
+      campaign.base = config;
+      campaign.num_seeds = resolved.num_seeds;
+      campaign.jobs = resolved.jobs;
+      campaign.heartbeat = heartbeat;
+      cell.result = core::run_campaign(campaign);
+      return cell;
+    }
+    sim::TraceSink trace_sink;
+    core::MetricsRegistry metrics;
+    core::ExperimentConfig observed = config;
+    if (!trace_path.empty()) observed.trace = &trace_sink;
+    if (!metrics_path.empty()) observed.metrics = &metrics;
+    const core::SensitivityRun run = core::run_sensitivity(observed);
+    if (!trace_path.empty()) {
+      cli::write_file_or_die(argv0, trace_path,
+                             core::trace_to_json(trace_sink));
+    }
+    if (!metrics_path.empty()) {
+      cli::write_file_or_die(argv0, metrics_path,
+                             cli::ends_with(metrics_path, ".csv")
+                                 ? metrics.to_csv()
+                                 : metrics.to_json());
+    }
+    cell.trace_events = trace_sink.size();
+    cell.metrics_samples = metrics.sample_times().size();
+    const core::CampaignResult::CellKey key{config.chain, config.fault};
+    cell.result.seeds = {config.seed};
+    cell.result.seed_runs[key] = {run};
+    cell.result.runs.emplace(key, run);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s: %scannot run: %s\n", argv0, source.c_str(),
+                 error.what());
+    std::exit(2);
+  }
+  return cell;
+}
+
+// --suite DIR: every DIR/*.json spec, in file-name order, through run_cell.
+int run_suite(const char* argv0, const std::string& dir,
+              const std::string& format, bool heartbeat) {
+  std::vector<std::filesystem::path> files;
+  std::error_code error;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir, error)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".json") {
+      files.push_back(entry.path());
+    }
+  }
+  if (error) fail_usage(argv0, "--suite: cannot read " + dir);
+  if (files.empty()) fail_usage(argv0, "--suite: no *.json specs in " + dir);
+  std::sort(files.begin(), files.end());
+  // Resolve every spec before the first run, so a bad file fails in
+  // seconds, not after the specs before it have simulated.
+  std::vector<core::ResolvedScenario> cells;
+  for (const std::filesystem::path& file : files) {
+    const std::string path = file.string();
+    cells.push_back(resolve(argv0, path + ": ", load_spec(argv0, path)));
+    if (cells.back().chaos_trials > 0) {
+      fail_usage(argv0, path +
+                            ": chaos campaigns do not run in a suite; use "
+                            "--scenario");
+    }
+  }
+
+  if (format == "csv") {
+    std::printf("spec,seed,%s\n", core::summary_csv_header().c_str());
+  }
+  core::Table table({"spec", "seed", "chain", "fault", "score", "live",
+                     "recovery(s)", "mean latency", "committed"});
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const std::string name = files[i].filename().string();
+    const core::ExperimentConfig& config = cells[i].config;
+    const CellRun cell =
+        run_cell(argv0, files[i].string() + ": ", cells[i], heartbeat);
+    const std::vector<core::SensitivityRun>& runs =
+        cell.result.seed_runs.at({config.chain, config.fault});
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+      const core::SensitivityRun& run = runs[k];
+      const std::string seed = std::to_string(cell.result.seeds[k]);
+      if (format == "csv") {
+        std::printf("%s,%s,%s\n", name.c_str(), seed.c_str(),
+                    core::summary_csv_row(config.chain, config.fault, run)
+                        .c_str());
+        continue;
+      }
+      table.add_row({name, seed, core::to_string(config.chain),
+                     core::to_string(config.fault),
+                     core::format_score(run.score),
+                     run.altered.live_at_end ? "yes" : "NO",
+                     run.altered.recovery_seconds >= 0.0
+                         ? core::Table::num(run.altered.recovery_seconds, 1)
+                         : "-",
+                     core::Table::num(run.altered.mean_latency_s, 3) + "s",
+                     std::to_string(run.altered.committed) + "/" +
+                         std::to_string(run.altered.submitted)});
+    }
+    std::fflush(stdout);
+  }
+  if (format != "csv") std::printf("%s", table.to_string().c_str());
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   core::ScenarioSpec spec;
   std::string format = "text";
   std::string scenario_path;
+  std::string suite_dir;
   bool dump_scenario = false;
   bool mitigation_study = false;
   bool attribution = false;
@@ -333,6 +509,11 @@ int main(int argc, char** argv) {
       scenario_path = value();
       if (scenario_path.empty()) {
         fail_usage(argv[0], "--scenario needs a file name");
+      }
+    } else if (arg == "--suite") {
+      suite_dir = value();
+      if (suite_dir.empty()) {
+        fail_usage(argv[0], "--suite needs a directory");
       }
     } else if (arg == "--dump-scenario") {
       dump_scenario = true;
@@ -496,38 +677,32 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!suite_dir.empty()) {
+    if (experiment_flags || !scenario_path.empty() || dump_scenario) {
+      fail_usage(argv[0],
+                 "--suite runs complete scenario files; combine it only "
+                 "with --format text|csv");
+    }
+    if (format == "json") {
+      fail_usage(argv[0], "--suite prints --format text or csv");
+    }
+    return run_suite(argv[0], suite_dir, format, heartbeat);
+  }
   if (!scenario_path.empty()) {
     if (experiment_flags) {
       fail_usage(argv[0],
                  "--scenario is a complete run description; combine it "
                  "only with --format and --dump-scenario");
     }
-    std::ifstream file(scenario_path);
-    if (!file) {
-      std::fprintf(stderr, "%s: cannot read %s\n", argv[0],
-                   scenario_path.c_str());
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    try {
-      spec = core::scenario_from_json(buffer.str());
-    } catch (const std::invalid_argument& error) {
-      fail_usage(argv[0], scenario_path + ": " + error.what());
-    }
+    spec = load_spec(argv[0], scenario_path);
   }
 
-  core::ResolvedScenario resolved;
-  try {
-    resolved = core::resolve_scenario(spec);
-  } catch (const std::invalid_argument& error) {
-    fail_usage(argv[0], error.what());
-  }
+  const core::ResolvedScenario resolved = resolve(argv[0], "", spec);
   if (dump_scenario) {
     std::printf("%s\n", core::scenario_to_json(spec).c_str());
     return 0;
   }
-  core::ExperimentConfig config = resolved.config;
+  const core::ExperimentConfig& config = resolved.config;
   const long duration_s = static_cast<long>(spec.duration_s);
   const std::string& trace_path = resolved.trace_path;
   const std::string& metrics_path = resolved.metrics_path;
@@ -705,30 +880,9 @@ int main(int argc, char** argv) {
     return result.violations() > 0 ? 1 : 0;
   }
 
-  if (resolved.num_seeds > 1 || resolved.jobs > 1) {
-    if (!trace_path.empty() || !metrics_path.empty()) {
-      fail_usage(argv[0],
-                 "--trace/--metrics apply to single runs; rerun the seed of "
-                 "interest without --seeds/--jobs");
-    }
-    // Seed sweep / parallel path: run the single (chain, fault) cell as a
-    // one-cell campaign so the sweep aggregation and the thread pool are
-    // the same code CI uses. Output is identical for any --jobs value.
-    core::CampaignConfig campaign;
-    campaign.chains = {config.chain};
-    campaign.faults = {config.fault};
-    campaign.base = config;
-    campaign.num_seeds = resolved.num_seeds;
-    campaign.jobs = resolved.jobs;
-    campaign.heartbeat = heartbeat;
-    core::CampaignResult result;
-    try {
-      result = core::run_campaign(campaign);
-    } catch (const std::invalid_argument& error) {
-      std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                   error.what());
-      return 2;
-    }
+  const CellRun cell = run_cell(argv[0], "", resolved, heartbeat);
+  const core::CampaignResult& result = cell.result;
+  if (cell.campaign) {
     if (format == "json") {
       std::printf("%s\n", result.to_json().c_str());
       return 0;
@@ -764,31 +918,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  sim::TraceSink trace_sink;
-  core::MetricsRegistry metrics;
-  if (!trace_path.empty()) config.trace = &trace_sink;
-  if (!metrics_path.empty()) config.metrics = &metrics;
-
-  core::SensitivityRun run;
-  try {
-    run = core::run_sensitivity(config);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: invalid fault plan: %s\n", argv[0],
-                 error.what());
-    return 2;
-  }
-
-  if (!trace_path.empty()) {
-    cli::write_file_or_die(argv[0], trace_path,
-                           core::trace_to_json(trace_sink));
-  }
-  if (!metrics_path.empty()) {
-    cli::write_file_or_die(argv[0], metrics_path,
-                           cli::ends_with(metrics_path, ".csv")
-                               ? metrics.to_csv()
-                               : metrics.to_json());
-  }
-
+  const core::SensitivityRun& run = result.runs.begin()->second;
   if (format == "json") {
     std::printf("%s\n", core::to_json(config.chain, config.fault, run).c_str());
     return 0;
@@ -839,11 +969,11 @@ int main(int argc, char** argv) {
   }
   if (!trace_path.empty()) {
     std::printf("trace: %s (%zu events; open at ui.perfetto.dev)\n",
-                trace_path.c_str(), trace_sink.size());
+                trace_path.c_str(), cell.trace_events);
   }
   if (!metrics_path.empty()) {
     std::printf("metrics: %s (%zu samples)\n", metrics_path.c_str(),
-                metrics.sample_times().size());
+                cell.metrics_samples);
   }
   std::printf("\naltered throughput:\n%s",
               core::render_timeseries(run.altered.throughput,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "chain/hash.hpp"
@@ -497,6 +499,16 @@ void AvalancheNode::gossip_tick() {
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(
     sim::Simulation& simulation, net::Network& network,
     chain::NodeConfig node_config_template, AvalancheConfig config) {
+  // Every Snowball poll samples sample_k distinct peers other than the
+  // poller, so a smaller cluster cannot run a single poll.
+  const auto min_n = static_cast<std::size_t>(config.sample_k) + 1;
+  if (node_config_template.n < min_n) {
+    throw std::invalid_argument(
+        "avalanche needs n >= " + std::to_string(min_n) +
+        " (each Snowball poll samples " + std::to_string(config.sample_k) +
+        " distinct peers); got n = " +
+        std::to_string(node_config_template.n));
+  }
   auto anchors = std::make_shared<AnchorLog>();
   std::vector<std::unique_ptr<chain::BlockchainNode>> nodes;
   nodes.reserve(node_config_template.n);

@@ -183,6 +183,8 @@ class AvalancheNode final : public chain::BlockchainNode {
   std::uint64_t hot_nonce_stalls_ = 0;
 };
 
+/// Throws std::invalid_argument when n < sample_k + 1: a Snowball poll
+/// needs sample_k distinct peers besides the poller.
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(
     sim::Simulation& simulation, net::Network& network,
     chain::NodeConfig node_config_template, AvalancheConfig config = {});

@@ -489,6 +489,9 @@ ExperimentConfig baseline_of(const ExperimentConfig& altered_config) {
   baseline_config.fault = FaultType::kNone;
   baseline_config.fault_schedule.plans.clear();
   baseline_config.client_fanout = 1;
+  // A single-endpoint client can never collect k > 1 matching answers, so
+  // the twin waits for its one endpoint like the paper's naive client.
+  baseline_config.client_matching = 0;
   // With the traffic model active, the pairing question changes from "how
   // does the fault compare to a pristine lab run" to "what does the fault
   // cost under the SAME production traffic" — the baseline keeps the

@@ -235,9 +235,10 @@ struct SensitivityRun {
   SensitivityScore score;
 };
 
-/// The fault-free twin of a config: no fault, no schedule, fanout 1,
-/// constant workload, observability detached — the paper's pairing rule,
-/// shared by run_sensitivity and the attribution campaign.
+/// The fault-free twin of a config: no fault, no schedule, fanout 1 with
+/// matching 0 (one endpoint, waited for), constant workload,
+/// observability detached — the paper's pairing rule, shared by
+/// run_sensitivity and the attribution campaign.
 ExperimentConfig baseline_of(const ExperimentConfig& altered_config);
 
 SensitivityRun run_sensitivity(const ExperimentConfig& altered_config,

@@ -12,6 +12,12 @@
 namespace stabl::core {
 namespace {
 
+/// Bounds of ScenarioSpec::n: the smallest cluster that tolerates one
+/// Byzantine node (3t + 1 with t = 1), and the largest the scale benches
+/// measure.
+constexpr std::int64_t kMinNodes = 4;
+constexpr std::int64_t kMaxNodes = 1000;
+
 /// Shortest round-trip formatting (std::to_chars): "0.2" stays "0.2",
 /// integral values carry no trailing ".0". This is what keeps dumped
 /// specs byte-stable through a parse/serialize cycle.
@@ -63,6 +69,9 @@ std::string validate_scenario(const ScenarioSpec& spec) {
     error << "\"fault\" must not be empty";
   } else if (spec.duration_s < 30) {
     error << "\"duration_s\" must be >= 30 (got " << spec.duration_s << ")";
+  } else if (spec.n < kMinNodes || spec.n > kMaxNodes) {
+    error << "\"n\" must be >= " << kMinNodes << " and <= " << kMaxNodes
+          << " (got " << spec.n << ")";
   } else if (spec.num_seeds < 1) {
     error << "\"num_seeds\" must be >= 1 (got " << spec.num_seeds << ")";
   } else if (spec.jobs < 1) {
@@ -159,6 +168,13 @@ std::string scenario_to_json(const ScenarioSpec& spec) {
   }
   out += '}';
   close();
+  if (spec.n != ScenarioSpec{}.n) {
+    // Emitted only off the default, like "traffic" below, so dumps of
+    // specs that predate the field keep their exact bytes.
+    field("n");
+    out += std::to_string(spec.n);
+    close();
+  }
   field("fault");
   append_string(out, spec.fault);
   close();
@@ -348,6 +364,8 @@ ScenarioSpec scenario_from_json(const std::string& json) {
               "scenario: duplicate chain parameter \"" + param + "\"");
         }
       }
+    } else if (key == "n") {
+      spec.n = parse_integer(cursor, key);
     } else if (key == "fault") {
       spec.fault = cursor.parse_string();
     } else if (key == "fault_targets") {
@@ -495,6 +513,7 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   ResolvedScenario resolved;
   ExperimentConfig& config = resolved.config;
   config.chain = parse_chain_name(spec.chain);
+  config.n = static_cast<std::size_t>(spec.n);
   config.chain_params = spec.chain_params;
   // Reject unknown parameter keys now, with the resolving chain named,
   // rather than deep inside the first run.
@@ -578,6 +597,23 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
       config.client_fanout == 1) {
     config.client_fanout = 4;
     config.vcpus = 8.0;
+  }
+  // Client i submits to entry nodes i, i+1, ... (mod min(clients, n)): a
+  // larger fanout repeats an endpoint, so a wait-for-all client never
+  // completes, and no answer set can reach a matching degree above the
+  // fanout. Either way the run would silently commit nothing.
+  const std::size_t entry_nodes = std::min(config.clients, config.n);
+  const auto fanout = static_cast<std::size_t>(config.client_fanout);
+  if (fanout > entry_nodes) {
+    throw std::invalid_argument(
+        "scenario: resolved \"fanout\" " + std::to_string(fanout) +
+        " exceeds the " + std::to_string(entry_nodes) +
+        " entry nodes (min(clients, n))");
+  }
+  if (config.client_matching > fanout) {
+    throw std::invalid_argument(
+        "scenario: \"matching\" " + std::to_string(config.client_matching) +
+        " exceeds the resolved \"fanout\" " + std::to_string(fanout));
   }
 
   resolved.num_seeds = static_cast<std::size_t>(spec.num_seeds);

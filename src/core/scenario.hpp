@@ -35,6 +35,10 @@ struct ScenarioSpec {
   /// Per-chain parameter overrides (chain::ChainTraits::default_params
   /// keys). Unknown keys are rejected when the scenario resolves.
   chain::ChainParams chain_params{};
+  /// Blockchain nodes, in [4, 1000]. Omitted from serialization at the
+  /// paper's 10, so specs and dumps that predate the field stay
+  /// byte-identical.
+  std::int64_t n = 10;
   std::string fault = "none";
   /// Explicit target override; empty selects the paper's defaults.
   std::vector<net::NodeId> fault_targets{};
@@ -88,14 +92,16 @@ struct ScenarioSpec {
 };
 
 /// Range/consistency validation that needs no registry: duration >= 30 s,
-/// seeds/jobs >= 1, probability in (0, 1], known workload shape, ...
+/// n within its bounds, seeds/jobs >= 1, probability in (0, 1], known
+/// workload shape, ...
 /// Returns an empty string when well-formed, else a human-readable error.
 /// Name lookups (chain, fault, chain_params keys) happen when the
 /// scenario resolves, against whatever chains the binary registered.
 [[nodiscard]] std::string validate_scenario(const ScenarioSpec& spec);
 
 /// Pretty two-space-indented JSON with every field present in declaration
-/// order; doubles use shortest round-trip formatting. Byte-stable:
+/// order, except "n" at its default and "traffic" while has_traffic is
+/// false; doubles use shortest round-trip formatting. Byte-stable:
 /// scenario_to_json(scenario_from_json(j)) == j for any j this emitted.
 [[nodiscard]] std::string scenario_to_json(const ScenarioSpec& spec);
 
@@ -127,7 +133,9 @@ struct ResolvedScenario {
 /// unless the spec set a fanout, so a dumped spec reproduces the flag run
 /// byte-for-byte. Throws std::invalid_argument on validation failures,
 /// unknown chain/fault names, chain_params keys the chain does not declare,
-/// or a resolved plan the fault engine would reject (validate(FaultPlan)).
+/// a resolved plan the fault engine would reject (validate(FaultPlan)), a
+/// resolved fanout above the min(clients, n) entry nodes, or a matching
+/// degree above the resolved fanout.
 [[nodiscard]] ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
 }  // namespace stabl::core

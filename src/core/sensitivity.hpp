@@ -13,8 +13,8 @@
 // evaluating both sums at the *common* endpoint B = max(b₁, b₂) matches the
 // between-curves area of Fig. 1 and is the only reading under which the
 // paper's outlier-resilience property holds; it is our default. The literal
-// per-distribution-endpoint variant is provided for comparison (see the
-// micro_ablation_score_defs bench).
+// per-distribution-endpoint variant is provided for comparison (the
+// Sensitivity tests in tests/test_sensitivity.cpp score both readings).
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,7 @@
 // fluctuating workloads, request bursts or demanding workloads"). The
 // workload module supplies the constant shape plus the fluctuating ones
 // the paper points to, so the sensitivity harness can also score
-// congestion behaviour (see bench/micro_ablation_workload).
+// congestion behaviour (tests/test_workload.cpp).
 #pragma once
 
 #include <cstdint>

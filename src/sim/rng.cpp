@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 namespace stabl::sim {
 namespace {
@@ -92,7 +94,14 @@ double Rng::exponential(double mean) {
 
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
-  assert(k <= n);
+  // Checked in every build type: a caller sampling more peers than exist
+  // (Avalanche's Snowball poll on a cluster smaller than sample_k + 1)
+  // would otherwise read past the index vector.
+  if (k > n) {
+    throw std::invalid_argument(
+        "Rng::sample_without_replacement: k = " + std::to_string(k) +
+        " exceeds n = " + std::to_string(n));
+  }
   // Partial Fisher-Yates over an index vector: O(n) setup, O(k) draws.
   std::vector<std::size_t> indices(n);
   for (std::size_t i = 0; i < n; ++i) indices[i] = i;

@@ -55,8 +55,9 @@ class Rng {
   /// Exponential with the given mean.
   double exponential(double mean);
 
-  /// Sample k distinct indices from [0, n) without replacement.
-  /// Requires k <= n. Order of the returned sample is unspecified.
+  /// Sample k distinct indices from [0, n) without replacement. Throws
+  /// std::invalid_argument when k > n. Order of the returned sample is
+  /// unspecified.
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
 

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "chain_test_util.hpp"
+#include "core/experiment.hpp"
 
 namespace stabl::avalanche {
 namespace {
@@ -140,6 +144,30 @@ TEST(Avalanche, SecureClientImprovesLatency) {
   // Redundant submission seeds four pools at once, compensating the
   // unordered gossip (paper §7: Avalanche benefits — the striped bar).
   EXPECT_LT(mean_latency(4), mean_latency(1));
+}
+
+TEST(Avalanche, ClusterSmallerThanThePollSampleIsRejected) {
+  // A Snowball poll samples sample_k = 6 peers besides the poller, so
+  // n = 1..6 must be refused up front rather than sample out of range.
+  for (std::size_t n = 1; n <= 6; ++n) {
+    Harness harness;
+    try {
+      build(harness, n);
+      ADD_FAILURE() << "n = " << n << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("avalanche needs n >= 7"),
+                std::string::npos)
+          << error.what();
+    }
+  }
+  // The experiment runner reaches the same factory through the registry.
+  core::ExperimentConfig config;
+  config.chain = core::ChainKind::kAvalanche;
+  config.n = 6;
+  config.duration = sim::sec(30);
+  EXPECT_THROW((void)core::run_experiment(config), std::invalid_argument);
+  config.n = 7;
+  EXPECT_GT(core::run_experiment(config).committed, 0u);
 }
 
 TEST(AnchorLogTest, FirstDecisionWins) {

@@ -4,6 +4,8 @@
 // result only when t+1 replicas report the same hash.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "chain_test_util.hpp"
 #include "core/sensitivity.hpp"
 #include "chains/redbelly/redbelly.hpp"
@@ -61,19 +63,24 @@ TEST(Credence, NaiveClientIsDeceivedByByzantineEndpoint) {
 }
 
 TEST(Credence, VerifiedClientSurvivesOneByzantineEndpoint) {
-  Harness harness;
-  build_redbelly(harness);
-  harness.nodes[0]->set_rpc_byzantine(true);
-  // 4 endpoints, accept on t+1 = 4... with 1 liar among 4, require 3
-  // matching honest answers (t_B+1 rule with the liar never matching).
-  auto* client = add_client(harness, {0, 1, 2, 3}, /*matching=*/3);
-  harness.start_all();
-  harness.simulation.run_until(sim::sec(25));
-  EXPECT_GT(client->committed(), 300u);
-  EXPECT_EQ(deceived(harness, *client), 0u)
-      << "matching-quorum acceptance filters the fabricated responses";
-  // The client observed the conflicting responses (the lie is visible).
-  EXPECT_GT(client->conflicting_responses(), 300u);
+  // 4 endpoints with 1 liar among them. Matching 3 accepts on 3 matching
+  // honest answers (t_B+1 rule with the liar never matching); matching 0
+  // is the paper's wait-for-all secure client, which takes the majority
+  // result once all 4 answered.
+  for (const std::size_t matching : {std::size_t{3}, std::size_t{0}}) {
+    SCOPED_TRACE("matching " + std::to_string(matching));
+    Harness harness;
+    build_redbelly(harness);
+    harness.nodes[0]->set_rpc_byzantine(true);
+    auto* client = add_client(harness, {0, 1, 2, 3}, matching);
+    harness.start_all();
+    harness.simulation.run_until(sim::sec(25));
+    EXPECT_GT(client->committed(), 300u);
+    EXPECT_EQ(deceived(harness, *client), 0u)
+        << "redundant acceptance filters the fabricated responses";
+    // The client observed the conflicting responses (the lie is visible).
+    EXPECT_GT(client->conflicting_responses(), 300u);
+  }
 }
 
 TEST(Credence, VerifiedClientAgainstHonestEndpointsIsClean) {

@@ -132,6 +132,22 @@ TEST(RunSensitivity, DeadAlteredRunScoresInfinite) {
   EXPECT_TRUE(run.score.infinite);
 }
 
+TEST(RunSensitivity, MatchingClientPairsWithANaiveBaseline) {
+  // A 3-matching secure client's twin has one endpoint; it must wait for
+  // that answer, not for three matching ones it can never collect.
+  ExperimentConfig config;
+  config.chain = ChainKind::kRedbelly;
+  config.duration = sim::sec(30);
+  config.fault = FaultType::kSecureClient;
+  config.client_fanout = 4;
+  config.client_matching = 3;
+  EXPECT_EQ(baseline_of(config).client_matching, 0u);
+  const SensitivityRun run = run_sensitivity(config);
+  EXPECT_GT(run.baseline.committed, 5000u);
+  EXPECT_GT(run.altered.committed, 5000u);
+  EXPECT_FALSE(run.score.invalid_baseline);
+}
+
 TEST(PaperCell, MovesThePrimaryPlanAndKeepsTargetsKnobsAndComposedPlans) {
   ExperimentConfig base;
   FaultPlan primary = paper_plan(base);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 
 namespace stabl::sim {
 namespace {
@@ -101,6 +102,16 @@ TEST(Rng, SampleWholePopulation) {
   const auto sample = rng.sample_without_replacement(5, 5);
   std::set<std::size_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 5u);
+}
+
+TEST(Rng, SampleLargerThanThePopulationThrows) {
+  // Checked in every build type, not only where assert() is compiled in.
+  Rng rng(31);
+  EXPECT_THROW((void)rng.sample_without_replacement(5, 6),
+               std::invalid_argument);
+  EXPECT_THROW((void)rng.sample_without_replacement(0, 1),
+               std::invalid_argument);
+  EXPECT_TRUE(rng.sample_without_replacement(0, 0).empty());
 }
 
 TEST(Rng, SampleUniformity) {

@@ -4,6 +4,9 @@
 // byte for byte.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -30,6 +33,8 @@ TEST(Scenario, DefaultSpecRoundTripsByteStably) {
   const std::string json = core::scenario_to_json(spec);
   EXPECT_EQ(core::scenario_from_json(json), spec);
   EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(json)), json);
+  // "n" at its default is left out, like an unset "traffic".
+  EXPECT_EQ(json.find("\"n\""), std::string::npos) << json;
 }
 
 TEST(Scenario, EmptyObjectIsTheDefaultRedbellyBaseline) {
@@ -48,6 +53,8 @@ TEST(Scenario, MissingKeysKeepTheirDefaults) {
   EXPECT_EQ(spec.seed, 42u);
   EXPECT_EQ(spec.workload, "constant");
   EXPECT_FALSE(spec.resilient);
+  EXPECT_EQ(spec.n, 10);
+  EXPECT_EQ(core::scenario_from_json(R"({"n": 10})"), core::ScenarioSpec{});
 }
 
 TEST(Scenario, NonDefaultSpecRoundTripsByteStably) {
@@ -55,6 +62,7 @@ TEST(Scenario, NonDefaultSpecRoundTripsByteStably) {
   spec.name = "fig6 avalanche partition, tuned";
   spec.chain = "avalanche";
   spec.chain_params = {{"cpu_target", 0.8}, {"throttling", 0.0}};
+  spec.n = 16;
   spec.fault = "partition";
   spec.fault_targets = {0, 1, 2};
   spec.extra_faults = {"loss", "gray"};
@@ -65,8 +73,31 @@ TEST(Scenario, NonDefaultSpecRoundTripsByteStably) {
   spec.resilient = true;
   spec.trace = "out.trace.json";
   const std::string json = core::scenario_to_json(spec);
+  EXPECT_NE(json.find("\n  \"n\": 16,\n"), std::string::npos) << json;
   EXPECT_EQ(core::scenario_from_json(json), spec);
   EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(json)), json);
+}
+
+TEST(Scenario, CheckedInSpecsRoundTripAndStateNOnlyOffItsDefault) {
+  // Every spec under examples/scenarios, suites included: the dump
+  // re-parses to the same bytes, and carries "n" exactly when the spec
+  // moves it off 10, so the specs that predate the field dump unchanged.
+  std::size_t specs = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           STABL_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream file(entry.path());
+    std::ostringstream text;
+    text << file.rdbuf();
+    const core::ScenarioSpec spec = core::scenario_from_json(text.str());
+    const std::string dump = core::scenario_to_json(spec);
+    EXPECT_EQ(core::scenario_to_json(core::scenario_from_json(dump)), dump)
+        << entry.path();
+    EXPECT_EQ(dump.find("\"n\":") != std::string::npos, spec.n != 10)
+        << entry.path();
+    ++specs;
+  }
+  EXPECT_GE(specs, 16u);
 }
 
 // -------------------------------------------------------------- rejection
@@ -92,6 +123,8 @@ TEST(Scenario, NonIntegralIntegersAreRejected) {
   EXPECT_NE(what.find("\"duration_s\" must be an integer"),
             std::string::npos)
       << what;
+  EXPECT_NE(error_of(R"({"n": 6.5})").find("\"n\" must be an integer"),
+            std::string::npos);
 }
 
 TEST(Scenario, OutOfRangeValuesAreRejected) {
@@ -117,6 +150,12 @@ TEST(Scenario, OutOfRangeValuesAreRejected) {
   EXPECT_NE(error_of(R"({"eclipse_delay_s": 0})")
                 .find("\"eclipse_delay_s\" must be > 0"),
             std::string::npos);
+  EXPECT_NE(error_of(R"({"n": 3})").find("\"n\" must be >= 4 and <= 1000"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"n": 1001})").find("\"n\" must be >= 4 and <= 1000"),
+            std::string::npos);
+  EXPECT_EQ(error_of(R"({"n": 4})"), "");
+  EXPECT_EQ(error_of(R"({"n": 1000})"), "");
 }
 
 // --------------------------------------------------------------- resolve
@@ -202,6 +241,46 @@ TEST(Scenario, ResolveRejectsPlansTheFaultEngineWouldReject) {
   spec.fault_targets = {12};
   EXPECT_NE(resolve_error(spec).find("targets node 12"), std::string::npos)
       << resolve_error(spec);
+
+  // Five clients on the first min(clients, n) = 5 nodes: a sixth endpoint
+  // would repeat one, and the wait-for-all client would never complete.
+  spec = core::ScenarioSpec{};
+  spec.fault = "secure-client";
+  spec.fanout = 6;
+  EXPECT_NE(resolve_error(spec).find("\"fanout\" 6 exceeds the 5 entry"),
+            std::string::npos)
+      << resolve_error(spec);
+  spec.fanout = 5;
+  EXPECT_EQ(resolve_error(spec), "");
+  // No answer set of 2 endpoints can hold 3 matching results.
+  spec.fanout = 2;
+  spec.matching = 3;
+  EXPECT_NE(resolve_error(spec).find("\"matching\" 3 exceeds the resolved "
+                                     "\"fanout\" 2"),
+            std::string::npos)
+      << resolve_error(spec);
+  // The bound is the resolved fanout: secure-client's default is 4.
+  spec.fanout = 1;
+  spec.matching = 4;
+  EXPECT_EQ(resolve_error(spec), "");
+  spec.matching = 5;
+  EXPECT_NE(resolve_error(spec).find("exceeds the resolved \"fanout\" 4"),
+            std::string::npos)
+      << resolve_error(spec);
+}
+
+TEST(Scenario, NodeCountMovesTheDefaultTargetsPastTheEntryNodes) {
+  // Redbelly at n = 16 tolerates t = 5 crashes, placed right after the
+  // five entry nodes.
+  core::ScenarioSpec spec;
+  spec.fault = "crash";
+  spec.n = 16;
+  const core::ExperimentConfig config = core::resolve_scenario(spec).config;
+  EXPECT_EQ(config.n, 16u);
+  const core::FaultSchedule armed = core::resolved_schedule(config);
+  ASSERT_EQ(armed.plans.size(), 1u);
+  EXPECT_EQ(armed.plans.front().targets,
+            (std::vector<net::NodeId>{5, 6, 7, 8, 9}));
 }
 
 TEST(Scenario, ResolveRejectsUnknownNamesAndParameters) {

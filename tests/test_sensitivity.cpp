@@ -228,6 +228,24 @@ TEST(Sensitivity, PerDistributionEndpointIsOutlierSensitive) {
   EXPECT_GT(score.value, 100.0);
 }
 
+TEST(Sensitivity, UniformShiftScoresOnlyUnderCommonEndpoint) {
+  // A uniform +5 s delay moves the whole eCDF: the area between the curves
+  // is 5 s on the 0.25 s grid, i.e. 20. The literal per-distribution
+  // reading evaluates each super-cumulative at its own maximum, and the
+  // shift only prepends zero terms to the shifted sum, so it scores ~0.
+  sim::Rng rng(3);
+  std::vector<double> base;
+  for (int i = 0; i < 50000; ++i) {
+    base.push_back(rng.lognormal_median(1.0, 0.3));
+  }
+  std::vector<double> shifted = base;
+  for (double& latency : shifted) latency += 5.0;
+  EXPECT_NEAR(sensitivity(base, shifted).value, 20.0, 0.05);
+  SensitivityOptions options;
+  options.endpoint = ScoreEndpoint::kPerDistribution;
+  EXPECT_NEAR(sensitivity(base, shifted, true, options).value, 0.0, 0.05);
+}
+
 TEST(Sensitivity, FormatMarksBenefits) {
   const auto score = sensitivity(constant(10, 6.0), constant(10, 1.0));
   const std::string text = format_score(score);
