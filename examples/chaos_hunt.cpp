@@ -66,7 +66,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --defend            turn every chain's misbehavior scorer on;\n"
       "                      only safety findings gate (liveness findings\n"
       "                      still write repros but exit 0)\n"
-      "  --heartbeat         wall-clock progress (done/total, trials/s,\n"
+      "  --heartbeat         wall-clock progress (done/total runs, runs/s,\n"
       "                      ETA) on stderr\n"
       "  --help              print this help and exit 0\n",
       argv0);

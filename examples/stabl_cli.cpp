@@ -191,8 +191,8 @@ void print_usage(std::FILE* out, const char* argv0) {
       "                      admission, queueing, consensus, notify), loss\n"
       "                      by deepest stage reached, and the dominant\n"
       "                      stage; --chain/--fault narrow the grid\n"
-      "  --heartbeat         wall-clock campaign progress (done/total,\n"
-      "                      cells/s, ETA) on stderr; never part of the\n"
+      "  --heartbeat         wall-clock campaign progress (done/total runs,\n"
+      "                      runs/s, ETA) on stderr; never part of the\n"
       "                      deterministic report output\n"
       "\n"
       "observability:\n"

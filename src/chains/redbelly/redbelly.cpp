@@ -311,6 +311,17 @@ void RedbellyNode::rebroadcast() {
               [this] { rebroadcast(); });
 }
 
+net::PayloadPtr make_proposal(std::uint64_t round, net::NodeId proposer,
+                              std::vector<chain::Transaction> txs) {
+  return std::make_shared<const ProposalPayload>(round, proposer,
+                                                 std::move(txs));
+}
+
+net::PayloadPtr make_echo(std::uint64_t round,
+                          std::vector<net::NodeId> seen) {
+  return std::make_shared<const EchoPayload>(round, std::move(seen));
+}
+
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(
     sim::Simulation& simulation, net::Network& network,
     chain::NodeConfig node_config_template, RedbellyConfig config) {

@@ -151,6 +151,14 @@ class RedbellyNode final : public chain::BlockchainNode {
   net::PayloadPtr own_echo_;
 };
 
+/// A round's proposal and echo as a node sends them, for harnesses that
+/// script a peer. The payload types stay in redbelly.cpp: with internal
+/// linkage, a dynamic_cast that misses them skips libstdc++'s type-name
+/// strcmp on every delivered message.
+net::PayloadPtr make_proposal(std::uint64_t round, net::NodeId proposer,
+                              std::vector<chain::Transaction> txs);
+net::PayloadPtr make_echo(std::uint64_t round, std::vector<net::NodeId> seen);
+
 /// Build a Redbelly cluster of `node_config_template.n` nodes (ids 0..n-1).
 /// The template's `id` field is overwritten per node.
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/parallel.hpp"
 #include "core/report.hpp"
 #include "core/sensitivity.hpp"
 
@@ -257,55 +256,54 @@ std::string AttributionReport::to_json() const {
 }
 
 AttributionReport run_attribution(const AttributionConfig& config) {
-  struct CellSpec {
-    ChainKind chain;
-    FaultType fault;
-  };
-  std::vector<CellSpec> grid;
-  grid.reserve(config.chains.size() * config.faults.size());
+  // Cells run concurrently; observability shared through base would race.
+  const ExperimentConfig base = without_observers(config.base);
+  std::vector<ExperimentConfig> cells;
+  cells.reserve(config.chains.size() * config.faults.size());
   for (const ChainKind chain : config.chains) {
     for (const FaultType fault : config.faults) {
-      grid.push_back({chain, fault});
+      ExperimentConfig cell = paper_cell(base, fault);
+      cell.chain = chain;
+      cells.push_back(std::move(cell));
     }
   }
 
-  std::vector<AttributionCell> slots(grid.size());
-  Heartbeat heartbeat("attribution", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    ExperimentConfig altered = paper_cell(config.base, grid[i].fault);
-    altered.chain = grid[i].chain;
-    // Cells run concurrently; observability shared through base would
-    // race. The recorders below are per-cell locals.
-    altered.trace = nullptr;
-    altered.metrics = nullptr;
-    ExperimentConfig baseline = baseline_of(altered);
-    sim::LifecycleRecorder baseline_recorder;
-    sim::LifecycleRecorder altered_recorder;
-    baseline.lifecycle = &baseline_recorder;
-    altered.lifecycle = &altered_recorder;
-
-    const ExperimentResult baseline_result = run_experiment(baseline);
-    const ExperimentResult altered_result = run_experiment(altered);
-
-    AttributionCell cell;
-    cell.chain = grid[i].chain;
-    cell.fault = grid[i].fault;
-    cell.seed = altered.seed;
-    cell.score =
-        sensitivity(baseline_result.latencies, altered_result.latencies,
-                    altered_result.live_at_end, {});
-    cell.altered_live_at_end = altered_result.live_at_end;
-    cell.baseline = fold_lifecycle(baseline_recorder);
-    cell.altered = fold_lifecycle(altered_recorder);
-    cell.measured_latency_delta_s =
-        altered_result.mean_latency_s - baseline_result.mean_latency_s;
-    slots[i] = std::move(cell);
-    heartbeat.tick();
-  });
+  // One recorder and one fold per distinct run; every cell that shares a
+  // run gets a copy of its fold.
+  const PairPlan plan = plan_pairs(cells);
+  std::vector<StageBreakdown> folds(plan.runs.size());
+  PairOptions options;
+  options.jobs = config.jobs;
+  options.heartbeat = config.heartbeat;
+  options.label = "attribution";
+  options.run_one = [&folds](const ExperimentConfig& run_config,
+                             std::size_t run) {
+    sim::LifecycleRecorder recorder;
+    ExperimentConfig recorded = run_config;
+    recorded.lifecycle = &recorder;
+    ExperimentResult result = run_experiment(recorded);
+    folds[run] = fold_lifecycle(recorder);
+    return result;
+  };
+  const PairResults pairs = run_pairs(plan, options);
 
   AttributionReport report;
-  report.cells = std::move(slots);
+  report.experiments = pairs.experiments;
+  report.cells.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const SensitivityRun& pair = pairs.pairs[i];
+    AttributionCell cell;
+    cell.chain = cells[i].chain;
+    cell.fault = cells[i].fault;
+    cell.seed = cells[i].seed;
+    cell.score = pair.score;
+    cell.altered_live_at_end = pair.altered.live_at_end;
+    cell.baseline = folds[plan.baseline[i]];
+    cell.altered = folds[plan.altered[i]];
+    cell.measured_latency_delta_s =
+        pair.altered.mean_latency_s - pair.baseline.mean_latency_s;
+    report.cells.push_back(std::move(cell));
+  }
   return report;
 }
 

@@ -27,9 +27,11 @@
 // detour. The cell's dominant stage is the segment with the largest
 // absolute mean-latency delta.
 //
-// Determinism: cells fan out over a ThreadPool into index-addressed slots
-// (the campaign discipline), every serializer uses fixed precisions, and
-// the recorder is independent of TraceSink — to_csv()/to_json() are
+// Cells go through core::run_pairs (experiment.hpp): each distinct run —
+// a twin shared by several faults counts once — gets one recorder and one
+// fold, copied to every cell that uses it. Determinism: the pairs are
+// gathered in grid order, every serializer uses fixed precisions, and the
+// recorder is independent of TraceSink — to_csv()/to_json() are
 // byte-identical at every jobs setting and with tracing on or off.
 #pragma once
 
@@ -120,6 +122,9 @@ struct AttributionCell {
 struct AttributionReport {
   /// Chain-major, fault order — deterministic for any jobs value.
   std::vector<AttributionCell> cells;
+  /// Distinct experiments executed (run_pairs): 6 for one chain's four
+  /// paper faults. No serializer writes it.
+  std::size_t experiments = 0;
 
   [[nodiscard]] const AttributionCell* get(ChainKind chain,
                                            FaultType fault) const;

@@ -7,7 +7,6 @@
 
 #include "core/chaos.hpp"
 #include "core/metrics.hpp"
-#include "core/parallel.hpp"
 #include "core/report.hpp"
 #include "core/serialize.hpp"
 #include "sim/rng.hpp"
@@ -159,50 +158,35 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   const WallTimer campaign_timer;
   const std::vector<std::uint64_t> seeds = config.seed_list();
 
-  struct Cell {
-    ChainKind chain;
-    FaultType fault;
-    std::uint64_t seed;
-  };
-  std::vector<Cell> grid;
-  grid.reserve(config.chains.size() * config.faults.size() * seeds.size());
+  // Cells run concurrently; a sink/registry/recorder shared through base
+  // would race. Per-cell tracing goes through stabl_cli's single-run path.
+  const ExperimentConfig base = without_observers(config.base);
+  std::vector<ExperimentConfig> cells;
+  cells.reserve(config.chains.size() * config.faults.size() * seeds.size());
   for (const ChainKind chain : config.chains) {
     for (const FaultType fault : config.faults) {
       for (const std::uint64_t seed : seeds) {
-        grid.push_back({chain, fault, seed});
+        ExperimentConfig cell = paper_cell(base, fault);
+        cell.chain = chain;
+        cell.seed = seed;
+        cells.push_back(std::move(cell));
       }
     }
   }
 
-  // Fan the grid out: each cell writes only its own slot, so gathering by
-  // index below is deterministic regardless of completion order.
-  std::vector<SensitivityRun> slots(grid.size());
-  std::vector<double> wall_slots(grid.size(), 0.0);
-  Heartbeat heartbeat("campaign", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    const WallTimer cell_timer;
-    ExperimentConfig cell = paper_cell(config.base, grid[i].fault);
-    cell.chain = grid[i].chain;
-    cell.seed = grid[i].seed;
-    // Cells run concurrently; a sink/registry/recorder shared through base
-    // would race. Per-cell tracing goes through stabl_cli's single-run
-    // path.
-    cell.trace = nullptr;
-    cell.metrics = nullptr;
-    cell.lifecycle = nullptr;
-    slots[i] = run_sensitivity(cell);
-    wall_slots[i] = cell_timer.elapsed_ms();
-    heartbeat.tick();
-  });
+  PairOptions options;
+  options.jobs = config.jobs;
+  options.heartbeat = config.heartbeat;
+  options.label = "campaign";
+  PairResults pairs = run_pairs(plan_pairs(cells), options);
 
   CampaignResult result;
   result.seeds = seeds;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    result.seed_runs[{grid[i].chain, grid[i].fault}].push_back(
-        std::move(slots[i]));
-    result.cell_wall_ms[{grid[i].chain, grid[i].fault}].push_back(
-        wall_slots[i]);
+  result.experiments = pairs.experiments;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CampaignResult::CellKey key{cells[i].chain, cells[i].fault};
+    result.seed_runs[key].push_back(std::move(pairs.pairs[i]));
+    result.cell_wall_ms[key].push_back(pairs.wall_ms[i]);
   }
   for (const auto& [key, cell_runs] : result.seed_runs) {
     result.radar.record(key.first, key.second, cell_runs.front().score);
@@ -527,43 +511,46 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
     }
   }
 
-  // Both twins of a pair run in the same slot: the mitigated run follows
-  // the unmitigated run of the same cell, and slots are gathered in grid
-  // order — byte-identical output for any jobs value.
-  std::vector<MitigationPair> slots(grid.size());
-  Heartbeat heartbeat("mitigation", grid.size(), config.heartbeat);
-  ThreadPool pool(config.jobs);
-  pool.parallel_for(grid.size(), [&](std::size_t i) {
-    const PairCell& cell = grid[i];
-    ExperimentConfig unmitigated = paper_cell(config.base, cell.fault);
+  // Pairs run concurrently; a sink/registry/recorder shared through base
+  // would race. Observability goes through stabl_cli's single-run path.
+  // Each grid pair contributes its unmitigated, then its mitigated config.
+  const ExperimentConfig base = without_observers(config.base);
+  std::vector<ExperimentConfig> twins;
+  twins.reserve(2 * grid.size());
+  for (const PairCell& cell : grid) {
+    ExperimentConfig unmitigated = paper_cell(base, cell.fault);
     unmitigated.chain = cell.chain;
     unmitigated.seed = cell.seed;
-    // Pairs run concurrently; a sink/registry/recorder shared through base
-    // would race. Observability goes through stabl_cli's single-run path.
-    unmitigated.trace = nullptr;
-    unmitigated.metrics = nullptr;
-    unmitigated.lifecycle = nullptr;
     if (cell.chaos) unmitigated.fault_schedule = cell.schedule;
-    const ExperimentConfig mitigated =
-        mitigated_config(unmitigated, config.layers);
+    ExperimentConfig mitigated = mitigated_config(unmitigated, config.layers);
+    twins.push_back(std::move(unmitigated));
+    twins.push_back(std::move(mitigated));
+  }
 
+  PairOptions options;
+  options.jobs = config.jobs;
+  options.heartbeat = config.heartbeat;
+  options.label = "mitigation";
+  PairResults runs = run_pairs(plan_pairs(twins), options);
+
+  MitigationResult result;
+  result.layers = config.layers;
+  result.experiments = runs.experiments;
+  result.pairs.reserve(grid.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const PairCell& cell = grid[i];
     MitigationPair pair;
     pair.chain = cell.chain;
     pair.fault = cell.fault;
     pair.chaos = cell.chaos;
     pair.chaos_trial = cell.chaos_trial;
     pair.seed = cell.seed;
-    pair.mitigated_chain = to_string(mitigated.chain);
+    pair.mitigated_chain = to_string(twins[2 * i + 1].chain);
     pair.schedule = cell.schedule;
-    pair.unmitigated = run_sensitivity(unmitigated);
-    pair.mitigated = run_sensitivity(mitigated);
-    slots[i] = std::move(pair);
-    heartbeat.tick();
-  });
-
-  MitigationResult result;
-  result.layers = config.layers;
-  result.pairs = std::move(slots);
+    pair.unmitigated = std::move(runs.pairs[2 * i]);
+    pair.mitigated = std::move(runs.pairs[2 * i + 1]);
+    result.pairs.push_back(std::move(pair));
+  }
   return result;
 }
 

@@ -3,13 +3,15 @@
 // one call — the entry point a CI pipeline would use ("STABL, pluggable in
 // continuous integration pipelines", §1).
 //
-// The (chain x fault x seed) cell grid is embarrassingly parallel — every
-// cell is an independent, deterministic DES — so `run_campaign` fans it
-// out across `jobs` threads and gathers results into index-addressed slots
-// in deterministic order: parallel output is byte-identical to serial
-// output for the same config. Seed sweeps aggregate per-cell runs into
-// `SeedSweepStats` (mean / min / max / sample stddev of the score plus the
-// liveness-loss count), and the CI gate judges the *worst* seed.
+// Every cell of the (chain x fault x seed) grid is an independent,
+// deterministic pair of runs, so `run_campaign` hands the grid to
+// core::run_pairs (experiment.hpp): each distinct experiment runs once
+// across `jobs` threads — cells of one chain and seed that need the same
+// fault-free twin share it — and the pairs are gathered in grid order:
+// parallel output is byte-identical to serial output for the same
+// config. Seed sweeps aggregate per-cell runs into `SeedSweepStats`
+// (mean / min / max / sample stddev of the score plus the liveness-loss
+// count), and the CI gate judges the *worst* seed.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +44,8 @@ struct CampaignConfig {
   /// calling thread; 1 = serial. Output is byte-identical for any value.
   unsigned jobs = 1;
   /// Wall-clock progress heartbeat on stderr (core::Heartbeat): completed
-  /// cells, cells/s and an ETA. Excluded from every deterministic
-  /// serializer, like cell_wall_ms.
+  /// runs (each distinct experiment once), runs/s and an ETA. Excluded
+  /// from every deterministic serializer, like cell_wall_ms.
   bool heartbeat = false;
 
   /// The effective seed list (explicit `seeds`, or `num_seeds` consecutive
@@ -85,12 +87,19 @@ struct CampaignResult {
   /// The seed list the campaign actually swept.
   std::vector<std::uint64_t> seeds;
   /// Wall-clock milliseconds per (cell, seed) run, in seed-list order, and
-  /// for the whole campaign. Harness profiling only: wall timings depend
-  /// on the machine and the jobs value, so they are deliberately excluded
-  /// from to_csv()/to_json() (which must stay byte-identical) and surface
-  /// through timing_table() instead.
+  /// for the whole campaign. A cell's time is its faulted run plus an
+  /// equal share of its twin and of any other run it shares
+  /// (PairResults::wall_ms), so the cells sum to the lanes' busy time.
+  /// Harness profiling only: wall timings depend on the machine and the
+  /// jobs value, so they are deliberately excluded from to_csv()/to_json()
+  /// (which must stay byte-identical) and surface through timing_table()
+  /// instead.
   std::map<CellKey, std::vector<double>> cell_wall_ms;
   double total_wall_ms = 0.0;
+  /// Distinct experiments the campaign executed (run_pairs): 30 for the
+  /// 20-cell paper matrix, whose cells share their fault-free twins.
+  /// Harness information like cell_wall_ms; no serializer writes it.
+  std::size_t experiments = 0;
 
   [[nodiscard]] const SensitivityRun* get(ChainKind chain,
                                           FaultType fault) const;
@@ -148,7 +157,9 @@ std::vector<std::string> check_gate(const CampaignResult& result,
 // hedged submissions, endpoint scoring — each layer independently
 // switchable). The paired delta `unmitigated − mitigated` quantifies how
 // much sensitivity each mitigation removes; a fault fully masked by the
-// stack (unmitigated infinite, mitigated finite) reports +inf.
+// stack (unmitigated infinite, mitigated finite) reports +inf. Both sides
+// go through core::run_pairs, so each side's fault-free twin runs once per
+// (chain, seed) however many faults score against it.
 // ---------------------------------------------------------------------------
 
 /// Which mitigation layers the mitigated twin of each pair enables.
@@ -217,6 +228,8 @@ struct MitigationResult {
   /// Matrix pairs first (chain-major, fault, seed order), then chaos pairs
   /// (chain-major, trial order) — deterministic for any jobs value.
   std::vector<MitigationPair> pairs;
+  /// Distinct experiments executed (run_pairs). No serializer writes it.
+  std::size_t experiments = 0;
 
   [[nodiscard]] std::size_t improvements() const;
   [[nodiscard]] std::size_t regressions() const;

@@ -442,18 +442,15 @@ ExperimentConfig chaos_trial_config(const ChaosCampaignConfig& config,
                                     ChainKind chain,
                                     std::uint64_t experiment_seed,
                                     const FaultSchedule& schedule) {
-  ExperimentConfig cell = config.base;
+  // Trials run concurrently; a sink/registry/recorder inherited from the
+  // template would race. The traced repro re-run attaches its own local
+  // sink.
+  ExperimentConfig cell = without_observers(config.base);
   cell.chain = chain;
   cell.fault = FaultType::kNone;
   cell.fault_schedule = schedule;
   cell.seed = experiment_seed;
   cell.capture_replicas = true;
-  // Trials run concurrently; a sink/registry/recorder inherited from the
-  // template would race. The traced repro re-run attaches its own local
-  // sink.
-  cell.trace = nullptr;
-  cell.metrics = nullptr;
-  cell.lifecycle = nullptr;
   return cell;
 }
 

@@ -15,6 +15,7 @@
 #include "core/client.hpp"
 #include "core/metrics.hpp"
 #include "core/observer.hpp"
+#include "core/parallel.hpp"
 #include "core/throughput.hpp"
 #include "core/trace.hpp"
 #include "chain/hash.hpp"
@@ -128,15 +129,19 @@ FaultPlan paper_plan(const ExperimentConfig& config) {
   return plan;
 }
 
+void apply_secure_client_geometry(ExperimentConfig& config) {
+  if (config.fault == FaultType::kSecureClient && config.client_fanout == 1) {
+    config.client_fanout = 4;
+    config.vcpus = 8.0;
+  }
+}
+
 ExperimentConfig paper_cell(ExperimentConfig base, FaultType fault) {
   base.fault = fault;
   if (!base.fault_schedule.empty()) {
     base.fault_schedule.plans.front().type = fault;
   }
-  if (fault == FaultType::kSecureClient) {
-    base.client_fanout = 4;
-    base.vcpus = 8.0;
-  }
+  apply_secure_client_geometry(base);
   return base;
 }
 
@@ -503,22 +508,99 @@ ExperimentConfig baseline_of(const ExperimentConfig& altered_config) {
   // baseline too would interleave two runs in one sink. The same holds
   // for the lifecycle recorder — the attribution layer, which needs both
   // twins recorded, attaches one recorder per run itself.
-  baseline_config.trace = nullptr;
-  baseline_config.metrics = nullptr;
-  baseline_config.lifecycle = nullptr;
-  return baseline_config;
+  return without_observers(std::move(baseline_config));
 }
 
-SensitivityRun run_sensitivity(const ExperimentConfig& altered_config,
-                               const SensitivityOptions& options) {
-  const ExperimentConfig baseline_config = baseline_of(altered_config);
+ExperimentConfig without_observers(ExperimentConfig config) {
+  config.trace = nullptr;
+  config.metrics = nullptr;
+  config.lifecycle = nullptr;
+  return config;
+}
 
-  SensitivityRun run;
-  run.baseline = run_experiment(baseline_config);
-  run.altered = run_experiment(altered_config);
-  run.score = sensitivity(run.baseline.latencies, run.altered.latencies,
-                          run.altered.live_at_end, options);
-  return run;
+bool same_experiment(const ExperimentConfig& a, const ExperimentConfig& b) {
+  return without_observers(a) == without_observers(b);
+}
+
+PairPlan plan_pairs(const std::vector<ExperimentConfig>& altered_configs) {
+  PairPlan plan;
+  // Equal configs share chain and seed, so only runs under the same pair
+  // of values need comparing: large seed sweeps stay linear.
+  std::map<std::pair<ChainKind, std::uint64_t>, std::vector<std::size_t>>
+      by_chain_seed;
+  const auto index_of = [&](const ExperimentConfig& config) {
+    std::vector<std::size_t>& candidates =
+        by_chain_seed[{config.chain, config.seed}];
+    for (const std::size_t run : candidates) {
+      if (same_experiment(plan.runs[run], config)) return run;
+    }
+    candidates.push_back(plan.runs.size());
+    plan.runs.push_back(config);
+    return plan.runs.size() - 1;
+  };
+  for (const ExperimentConfig& altered : altered_configs) {
+    plan.baseline.push_back(index_of(baseline_of(altered)));
+    const std::size_t run = index_of(altered);
+    ExperimentConfig& config = plan.runs[run];
+    if (config.trace == nullptr && config.metrics == nullptr &&
+        config.lifecycle == nullptr) {
+      config.trace = altered.trace;
+      config.metrics = altered.metrics;
+      config.lifecycle = altered.lifecycle;
+    }
+    plan.altered.push_back(run);
+  }
+  return plan;
+}
+
+PairResults run_pairs(const PairPlan& plan, const PairOptions& options) {
+  const std::size_t count = plan.runs.size();
+  std::vector<ExperimentResult> results(count);
+  std::vector<double> run_wall_ms(count, 0.0);
+  // No barrier between twins and faulted runs: a pair needs its twin only
+  // to be scored, after the fan-out. Each run writes only its own slot.
+  Heartbeat heartbeat(options.label, count, options.heartbeat);
+  ThreadPool pool(options.jobs);
+  pool.parallel_for(count, [&](std::size_t run) {
+    const WallTimer timer;
+    results[run] = options.run_one ? options.run_one(plan.runs[run], run)
+                                   : run_experiment(plan.runs[run]);
+    run_wall_ms[run] = timer.elapsed_ms();
+    heartbeat.tick();
+  });
+
+  std::vector<std::size_t> uses(count, 0);
+  for (std::size_t i = 0; i < plan.altered.size(); ++i) {
+    ++uses[plan.baseline[i]];
+    ++uses[plan.altered[i]];
+  }
+  std::vector<std::size_t> left = uses;
+  const auto take = [&](std::size_t run) -> ExperimentResult {
+    if (--left[run] == 0) return std::move(results[run]);
+    return results[run];
+  };
+  const auto share_ms = [&](std::size_t run) {
+    return run_wall_ms[run] / static_cast<double>(uses[run]);
+  };
+  PairResults out;
+  out.experiments = count;
+  out.pairs.reserve(plan.altered.size());
+  out.wall_ms.reserve(plan.altered.size());
+  for (std::size_t i = 0; i < plan.altered.size(); ++i) {
+    SensitivityRun pair;
+    pair.baseline = take(plan.baseline[i]);
+    pair.altered = take(plan.altered[i]);
+    pair.score = sensitivity(pair.baseline.latencies, pair.altered.latencies,
+                             pair.altered.live_at_end);
+    out.pairs.push_back(std::move(pair));
+    out.wall_ms.push_back(share_ms(plan.baseline[i]) +
+                          share_ms(plan.altered[i]));
+  }
+  return out;
+}
+
+SensitivityRun run_sensitivity(const ExperimentConfig& altered_config) {
+  return std::move(run_pairs(plan_pairs({altered_config})).pairs.front());
 }
 
 }  // namespace stabl::core

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -144,6 +145,12 @@ struct ExperimentConfig {
   /// observe-only contract and ownership rules as trace/metrics; the
   /// attribution layer (core/attribution.hpp) attaches one per run.
   sim::LifecycleRecorder* lifecycle = nullptr;
+
+  /// Member-wise, observer pointers included (same_experiment ignores
+  /// them). Defaulted, so a field added later is part of the key that
+  /// decides which runs of a batch are shared.
+  friend bool operator==(const ExperimentConfig&,
+                         const ExperimentConfig&) = default;
 };
 
 /// One committed block as the oracles see it: structure only, no payloads.
@@ -212,10 +219,15 @@ void apply_run_window(ExperimentConfig& config, std::int64_t duration_s);
 /// inject_at..recover_at with default knobs and empty targets.
 FaultPlan paper_plan(const ExperimentConfig& config);
 
+/// The §7 secure-client geometry: a secure-client config whose fanout is
+/// still 1 (unset) submits to t_B+1 = 4 endpoints on 8-vCPU VMs. A pinned
+/// fanout keeps its value and the config's vCPUs.
+void apply_secure_client_geometry(ExperimentConfig& config);
+
 /// The `fault` cell of a campaign grid built on `base`: sets `fault`, moves
 /// the primary plan (when the schedule is non-empty) to that type so its
-/// targets, knobs and composed plans apply to every cell, and applies the
-/// §7 secure-client geometry (fanout 4, 8 vCPUs).
+/// targets, knobs and composed plans apply to every cell, and applies
+/// apply_secure_client_geometry.
 ExperimentConfig paper_cell(ExperimentConfig base, FaultType fault);
 
 /// The fault schedule run_experiment arms for a config: fault_schedule (or
@@ -237,11 +249,72 @@ struct SensitivityRun {
 
 /// The fault-free twin of a config: no fault, no schedule, fanout 1 with
 /// matching 0 (one endpoint, waited for), constant workload,
-/// observability detached — the paper's pairing rule, shared by
-/// run_sensitivity and the attribution campaign.
+/// observability detached — the paper's pairing rule. A config that is
+/// already all of these is its own twin (same_experiment).
 ExperimentConfig baseline_of(const ExperimentConfig& altered_config);
 
-SensitivityRun run_sensitivity(const ExperimentConfig& altered_config,
-                               const SensitivityOptions& options = {});
+/// The config with its observe-only pointers (trace, metrics, lifecycle)
+/// cleared: what a fan-out runs, since one sink, registry or recorder
+/// must not be shared by concurrent runs.
+ExperimentConfig without_observers(ExperimentConfig config);
+
+/// Whether two configs describe the same run: ExperimentConfig equality
+/// with the observe-only pointers ignored.
+[[nodiscard]] bool same_experiment(const ExperimentConfig& a,
+                                   const ExperimentConfig& b);
+
+/// The distinct experiments behind a list of sensitivity pairs: every
+/// altered config and its baseline_of twin, deduplicated by
+/// same_experiment in first-use order (each pair's twin, then its altered
+/// run). Equal configs share one run whatever their fault, so the paper
+/// matrix's crash, transient and partition cells of a chain share their
+/// twin while secure-client's 8-vCPU twin stays its own.
+struct PairPlan {
+  /// Configs to run. A run takes the observers of the first altered
+  /// config naming it that has any; a run that is only a twin has none.
+  std::vector<ExperimentConfig> runs;
+  /// Per pair, in input order: indexes into `runs`.
+  std::vector<std::size_t> baseline;
+  std::vector<std::size_t> altered;
+};
+
+PairPlan plan_pairs(const std::vector<ExperimentConfig>& altered_configs);
+
+struct PairOptions {
+  /// Worker lanes, including the calling thread; 1 = serial. Results are
+  /// identical for any value.
+  unsigned jobs = 1;
+  /// Wall-clock progress on stderr (core::Heartbeat), one tick per run,
+  /// each line prefixed with `label`.
+  bool heartbeat = false;
+  std::string label = "pairs";
+  /// Runs plan.runs[run]; empty = run_experiment. Called concurrently from
+  /// the pool's lanes, each run exactly once.
+  std::function<ExperimentResult(const ExperimentConfig& config,
+                                 std::size_t run)>
+      run_one{};
+};
+
+struct PairResults {
+  /// One scored pair per plan entry, in input order. A result shared by
+  /// several pairs is copied into each and moved into the last.
+  std::vector<SensitivityRun> pairs;
+  /// Wall-clock ms per pair: each of its two runs' time divided by the
+  /// number of pair sides that use the run, so the sum over pairs is the
+  /// lane time of the whole batch. Machine-dependent; no serializer reads
+  /// it.
+  std::vector<double> wall_ms;
+  /// Distinct experiments executed (plan.runs.size()).
+  std::size_t experiments = 0;
+};
+
+/// Run every distinct experiment of `plan` once, in one fan-out over
+/// options.jobs lanes, and score each pair while gathering in input order.
+/// Deterministic: the pairs are identical for any jobs value.
+PairResults run_pairs(const PairPlan& plan, const PairOptions& options = {});
+
+/// One pair through run_pairs: a faulted config runs its twin and itself;
+/// a fault-free config that is its own twin runs once, observers attached.
+SensitivityRun run_sensitivity(const ExperimentConfig& altered_config);
 
 }  // namespace stabl::core

@@ -95,6 +95,8 @@ struct FaultPlan {
   /// kEclipse only: probability in [0, 1) that the attackers filter
   /// (silently drop) an intercepted packet.
   double eclipse_filter = 0.2;
+
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 };
 
 /// Whether the plan's recover_at action means anything (kCrash never
@@ -132,6 +134,9 @@ struct FaultSchedule {
     return *this;
   }
   [[nodiscard]] bool empty() const { return plans.empty(); }
+
+  friend bool operator==(const FaultSchedule&,
+                         const FaultSchedule&) = default;
 };
 
 /// canonical() applied to every plan of a schedule.

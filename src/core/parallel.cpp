@@ -52,7 +52,7 @@ void Heartbeat::print(std::size_t done, bool final_line) {
         static_cast<double>(total_ - done) / rate;
     std::snprintf(eta, sizeof(eta), "%.0fs", remaining_s);
   }
-  std::fprintf(stderr, "\r%s: %zu/%zu cells (%.0f%%) | %.2f cells/s | ETA %s",
+  std::fprintf(stderr, "\r%s: %zu/%zu runs (%.0f%%) | %.2f runs/s | ETA %s",
                label_.c_str(), done, total_, pct, rate, eta);
   if (final_line) std::fprintf(stderr, "\n");
   std::fflush(stderr);

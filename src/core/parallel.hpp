@@ -1,10 +1,10 @@
-// A small work-stealing-free thread pool for embarrassingly parallel cell
-// grids (the campaign's chain x fault x seed matrix). Workers pull indexes
-// from one shared cursor — no per-worker deques, no stealing — and the
-// caller participates as a lane, so `jobs = 1` spawns no threads and is
-// exactly the serial loop. Results must be written into pre-sized,
-// index-addressed slots by the body; gathering by index is what keeps
-// parallel output byte-identical to serial output.
+// A small work-stealing-free thread pool for embarrassingly parallel
+// batches (the distinct experiments of a campaign, chaos trials). Workers
+// pull indexes from one shared cursor — no per-worker deques, no
+// stealing — and the caller participates as a lane, so `jobs = 1` spawns
+// no threads and is exactly the serial loop. Results must be written into
+// pre-sized, index-addressed slots by the body; gathering by index is
+// what keeps parallel output byte-identical to serial output.
 #pragma once
 
 #include <chrono>
@@ -22,9 +22,11 @@ namespace stabl::core {
 /// Lanes to use by default: the hardware concurrency, at least 1.
 unsigned default_jobs();
 
-/// Wall-clock campaign progress reporter: "label: done/total cells
-/// (pct) | rate cells/s | ETA", written to stderr as a carriage-return
-/// line so multi-thousand-cell campaigns are not silent. Strictly a
+/// Wall-clock campaign progress reporter: "label: done/total runs
+/// (pct) | rate runs/s | ETA", written to stderr as a carriage-return
+/// line so multi-thousand-run campaigns are not silent. A run is one
+/// distinct experiment of a pair batch (core::run_pairs) or one chaos
+/// trial. Strictly a
 /// human-facing side channel: output is wall-clock dependent and NEVER
 /// part of any deterministic serializer (the same exclusion discipline as
 /// ChaosTrial::wall_ms). Thread-safe — campaign workers tick it from pool

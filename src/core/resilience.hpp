@@ -44,6 +44,8 @@ struct RetryPolicy {
 
   /// Backoff before resubmission attempt `attempt` (1 = first retry).
   [[nodiscard]] sim::Duration backoff(int attempt, sim::Rng& rng) const;
+
+  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 struct CircuitBreakerPolicy {
@@ -51,6 +53,9 @@ struct CircuitBreakerPolicy {
   int failure_threshold = 3;
   /// Quarantine span before a half-open probe is admitted.
   sim::Duration open_duration = sim::sec(20);
+
+  friend bool operator==(const CircuitBreakerPolicy&,
+                         const CircuitBreakerPolicy&) = default;
 };
 
 /// Per-endpoint breaker: closed (normal) -> open (quarantined) ->
@@ -94,6 +99,8 @@ struct HedgePolicy {
   /// Clamp on the hedge delay; also the delay used before any commit has
   /// been observed.
   sim::Duration max_delay = sim::sec(8);
+
+  friend bool operator==(const HedgePolicy&, const HedgePolicy&) = default;
 };
 
 /// EWMA endpoint scoring: score = (1 - alpha) * score + alpha * observed
@@ -107,6 +114,9 @@ struct EndpointScorePolicy {
   /// Seconds-equivalent cost blended in per failure (a timeout should
   /// outweigh many slow-but-successful commits).
   double failure_penalty_s = 30.0;
+
+  friend bool operator==(const EndpointScorePolicy&,
+                         const EndpointScorePolicy&) = default;
 };
 
 class EndpointScorer {
@@ -185,6 +195,9 @@ struct ResilienceConfig {
   CircuitBreakerPolicy breaker{};
   HedgePolicy hedge{};
   EndpointScorePolicy score{};
+
+  friend bool operator==(const ResilienceConfig&,
+                         const ResilienceConfig&) = default;
 };
 
 /// Resubmission bookkeeping, per client (summed per run by the harness).

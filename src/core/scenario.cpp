@@ -560,7 +560,9 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   }
   // One plan per fault type on the window fixed above, each carrying the
   // spec's knob values: the primary with its explicit targets, then every
-  // composed fault with the runner's default targets.
+  // composed fault with the runner's default targets. A spec that changes
+  // nothing about paper_plan keeps the schedule empty, which stands for
+  // it, so a fault-free spec equals its fault-free twin and runs once.
   FaultPlan plan = paper_plan(config);
   plan.targets = spec.fault_targets;
   plan.loss_probability = spec.loss_probability;
@@ -569,11 +571,13 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   plan.eclipse_victim = static_cast<net::NodeId>(spec.eclipse_victim);
   plan.eclipse_delay = sim::seconds(spec.eclipse_delay_s);
   plan.eclipse_filter = spec.eclipse_filter;
-  config.fault_schedule.add(plan);
-  plan.targets.clear();
-  for (const std::string& name : spec.extra_faults) {
-    plan.type = fault_from_name(name);
+  if (plan != paper_plan(config) || !spec.extra_faults.empty()) {
     config.fault_schedule.add(plan);
+    plan.targets.clear();
+    for (const std::string& name : spec.extra_faults) {
+      plan.type = fault_from_name(name);
+      config.fault_schedule.add(plan);
+    }
   }
   // Reject what the fault engine would reject at arm time now, before a
   // fault-free twin has simulated the whole run.
@@ -592,12 +596,7 @@ ResolvedScenario resolve_scenario(const ScenarioSpec& spec) {
   config.resilience.hedge.min_delay = sim::seconds(spec.hedge_min_delay_s);
   config.resilience.hedge.max_delay = sim::seconds(spec.hedge_max_delay_s);
   config.resilience.score.enabled = spec.endpoint_scoring;
-  // The §7 secure-client geometry: t_B+1 = 4 endpoints, 8-vCPU VMs.
-  if (config.fault == FaultType::kSecureClient &&
-      config.client_fanout == 1) {
-    config.client_fanout = 4;
-    config.vcpus = 8.0;
-  }
+  apply_secure_client_geometry(config);
   // Client i submits to entry nodes i, i+1, ... (mod min(clients, n)): a
   // larger fanout repeats an endpoint, so a wait-for-all client never
   // completes, and no answer set can reach a matching degree above the

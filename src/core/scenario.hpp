@@ -129,13 +129,14 @@ struct ResolvedScenario {
 /// integer thirds, or the burst anchor of `fault_phase: burst`), then
 /// builds config.fault_schedule: the primary plan with fault_targets, then
 /// one plan per extra fault, all on that window and carrying the spec's
-/// knob values. Also applies the secure-client fanout-4/8-vCPU adjustment
-/// unless the spec set a fanout, so a dumped spec reproduces the flag run
-/// byte-for-byte. Throws std::invalid_argument on validation failures,
-/// unknown chain/fault names, chain_params keys the chain does not declare,
-/// a resolved plan the fault engine would reject (validate(FaultPlan)), a
-/// resolved fanout above the min(clients, n) entry nodes, or a matching
-/// degree above the resolved fanout.
+/// knob values (left empty, standing for paper_plan, when the spec sets no
+/// targets, knob or extra fault). Also applies apply_secure_client_geometry
+/// (fanout 4 and 8 vCPUs unless the spec set a fanout), so a dumped spec
+/// reproduces the flag run byte-for-byte. Throws std::invalid_argument on
+/// validation failures, unknown chain/fault names, chain_params keys the
+/// chain does not declare, a resolved plan the fault engine would reject
+/// (validate(FaultPlan)), a resolved fanout above the min(clients, n)
+/// entry nodes, or a matching degree above the resolved fanout.
 [[nodiscard]] ResolvedScenario resolve_scenario(const ScenarioSpec& spec);
 
 }  // namespace stabl::core

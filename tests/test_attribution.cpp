@@ -1,8 +1,9 @@
 // Tests for sensitivity attribution (core/attribution.hpp): the
-// lifecycle fold, the per-cell delta accessors, and the campaign's two
-// hard guarantees — byte-identical reports at every jobs setting, and
-// per-stage latency deltas that sum (within floating-point rounding) to
-// the cell's measured mean commit-latency delta.
+// lifecycle fold, the per-cell delta accessors, and the campaign's hard
+// guarantees — byte-identical reports at every jobs setting, cells that
+// share a run report what they would alone, and per-stage latency deltas
+// that sum (within floating-point rounding) to the cell's measured mean
+// commit-latency delta.
 #include "core/attribution.hpp"
 
 #include <gtest/gtest.h>
@@ -90,6 +91,38 @@ TEST(Attribution, ReportIsByteIdenticalAtEveryJobsSetting) {
   ASSERT_EQ(a.cells.size(), 4u);
   EXPECT_NE(a.get(ChainKind::kRedbelly, FaultType::kCrash), nullptr);
   EXPECT_EQ(a.get(ChainKind::kSolana, FaultType::kCrash), nullptr);
+}
+
+TEST(Attribution, SharedTwinCellsEqualTheSingleFaultReports) {
+  AttributionConfig config;
+  config.chains = {ChainKind::kRedbelly};
+  config.faults = {FaultType::kCrash, FaultType::kTransient};
+  apply_run_window(config.base, 60);
+  config.jobs = 4;
+  const AttributionReport shared = run_attribution(config);
+  EXPECT_EQ(shared.experiments, 3u) << "one twin, two faulted runs";
+  AttributionReport separate;
+  for (const FaultType fault : config.faults) {
+    AttributionConfig single = config;
+    single.faults = {fault};
+    const AttributionReport report = run_attribution(single);
+    EXPECT_EQ(report.experiments, 2u);
+    separate.cells.push_back(report.cells.front());
+  }
+  EXPECT_EQ(shared.to_csv(), separate.to_csv());
+  EXPECT_EQ(shared.to_json(), separate.to_json());
+}
+
+TEST(Attribution, OneChainsFourPaperFaultsRunSixExperiments) {
+  AttributionConfig config;
+  config.chains = {ChainKind::kRedbelly};
+  apply_run_window(config.base, 30);
+  config.jobs = 4;
+  const AttributionReport report = run_attribution(config);
+  // Crash, transient and partition share the 4-vCPU twin; secure-client
+  // has its own 8-vCPU twin.
+  EXPECT_EQ(report.experiments, 6u);
+  ASSERT_EQ(report.cells.size(), 4u);
 }
 
 TEST(Attribution, StageDeltasSumToMeasuredLatencyDeltaOnPaperCrashCells) {

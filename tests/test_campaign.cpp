@@ -1,8 +1,11 @@
-// Campaign orchestration tests: matrix coverage, output formats, the CI
-// gate semantics.
+// Campaign orchestration tests: matrix coverage, shared runs, output
+// formats, the CI gate semantics.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
+
+#include "core/scenario.hpp"
+#include "core/serialize.hpp"
 
 namespace stabl::core {
 namespace {
@@ -24,6 +27,36 @@ TEST(Campaign, RunsEveryCellAndRecordsRadar) {
   EXPECT_EQ(result.get(ChainKind::kAptos, FaultType::kCrash), nullptr);
   ASSERT_NE(result.radar.get(ChainKind::kRedbelly, FaultType::kCrash),
             nullptr);
+}
+
+TEST(Campaign, PaperMatrixRunsThirtyDistinctExperiments) {
+  CampaignConfig config;
+  apply_run_window(config.base, 30);
+  config.jobs = 4;
+  const CampaignResult result = run_campaign(config);
+  EXPECT_EQ(result.runs.size(), 20u);
+  // Each chain's crash, transient and partition cells share one twin.
+  EXPECT_EQ(result.experiments, 30u);
+}
+
+TEST(Campaign, PinnedSecureClientFanoutMatchesTheSingleRun) {
+  ScenarioSpec spec;
+  spec.fault = "secure-client";
+  spec.fanout = 2;
+  spec.duration_s = 30;
+  const ExperimentConfig config = resolve_scenario(spec).config;
+  ASSERT_EQ(config.client_fanout, 2);
+  ASSERT_DOUBLE_EQ(config.vcpus, 4.0);
+  CampaignConfig campaign;
+  campaign.chains = {config.chain};
+  campaign.faults = {config.fault};
+  campaign.base = config;
+  campaign.jobs = 2;
+  const CampaignResult result = run_campaign(campaign);
+  const SensitivityRun* cell = result.get(config.chain, config.fault);
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(to_json(config.chain, config.fault, *cell),
+            to_json(config.chain, config.fault, run_sensitivity(config)));
 }
 
 TEST(Campaign, CsvHasOneRowPerCell) {

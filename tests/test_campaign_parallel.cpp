@@ -1,5 +1,6 @@
 // Tests for the parallel campaign engine: the work-stealing-free thread
-// pool, byte-identical serial-vs-parallel campaign output, seed-sweep
+// pool, byte-identical serial-vs-parallel campaign output, runs shared
+// between pairs (each distinct experiment simulated once), seed-sweep
 // aggregation, worst-seed gating, and EventQueue bookkeeping when a
 // simulation is constructed per worker thread.
 #include "core/campaign.hpp"
@@ -7,12 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "core/metrics.hpp"
 #include "core/parallel.hpp"
+#include "core/serialize.hpp"
+#include "core/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/lifecycle.hpp"
+#include "sim/trace.hpp"
 
 namespace stabl::core {
 namespace {
@@ -140,6 +149,155 @@ TEST(CampaignParallel, ParallelOutputByteIdenticalToSerial) {
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_EQ(a.radar.to_table(), b.radar.to_table());
   EXPECT_EQ(a.radar.sweep_table(), b.radar.sweep_table());
+}
+
+// ----------------------------------------------------------- shared runs
+
+// A pair as it was computed before runs were shared: its fault-free twin
+// and its altered run, each simulated on its own.
+SensitivityRun unshared_pair(const ExperimentConfig& altered) {
+  SensitivityRun run;
+  run.baseline = run_experiment(baseline_of(altered));
+  run.altered = run_experiment(altered);
+  run.score = sensitivity(run.baseline.latencies, run.altered.latencies,
+                          run.altered.live_at_end);
+  return run;
+}
+
+TEST(SharedRuns, KeyIgnoresOnlyTheObserverPointers) {
+  ExperimentConfig base;
+  base.fault = FaultType::kLoss;
+  base.fault_schedule.add(paper_plan(base));
+  sim::TraceSink sink;
+  MetricsRegistry metrics;
+  sim::LifecycleRecorder recorder;
+  ExperimentConfig observed = base;
+  observed.trace = &sink;
+  observed.metrics = &metrics;
+  observed.lifecycle = &recorder;
+  EXPECT_FALSE(base == observed);
+  EXPECT_TRUE(same_experiment(base, observed));
+
+  const auto differs = [&](void (*change)(ExperimentConfig&)) {
+    ExperimentConfig other = base;
+    change(other);
+    return !same_experiment(base, other);
+  };
+  EXPECT_TRUE(differs([](ExperimentConfig& c) { c.vcpus = 8.0; }));
+  EXPECT_TRUE(differs(
+      [](ExperimentConfig& c) { c.chain_params["max_idle_s"] = 30.0; }));
+  EXPECT_TRUE(differs([](ExperimentConfig& c) {
+    c.fault_schedule.plans.front().loss_probability = 0.3;
+  }));
+  EXPECT_TRUE(
+      differs([](ExperimentConfig& c) { c.resilience.hedge.enabled = true; }));
+  EXPECT_TRUE(differs([](ExperimentConfig& c) { c.traffic.regions = 2; }));
+
+  // Two loss cells that differ in one knob share their twin, not their
+  // faulted run; the observed copy of the first shares both.
+  ExperimentConfig knob = base;
+  knob.fault_schedule.plans.front().loss_probability = 0.3;
+  const PairPlan plan = plan_pairs({base, knob, observed});
+  EXPECT_EQ(plan.runs.size(), 3u);
+  EXPECT_EQ(plan.baseline, (std::vector<std::size_t>{0, 0, 0}));
+  EXPECT_EQ(plan.altered, (std::vector<std::size_t>{1, 2, 1}));
+}
+
+TEST(SharedRuns, CampaignRunsEachDistinctExperimentOnce) {
+  CampaignConfig config;
+  config.chains = {ChainKind::kRedbelly};
+  config.faults = {FaultType::kNone, FaultType::kCrash, FaultType::kTransient,
+                   FaultType::kPartition, FaultType::kSecureClient};
+  apply_run_window(config.base, 60);
+  std::map<FaultType, std::string> expected;
+  for (const FaultType fault : config.faults) {
+    expected[fault] = to_json(ChainKind::kRedbelly, fault,
+                              unshared_pair(paper_cell(config.base, fault)));
+  }
+  for (const unsigned jobs : {1u, 4u}) {
+    config.jobs = jobs;
+    const CampaignResult result = run_campaign(config);
+    // The 4-vCPU twin (also the none cell's altered run), secure-client's
+    // 8-vCPU twin and four faulted runs: 6 experiments, not 10.
+    EXPECT_EQ(result.experiments, 6u) << "jobs " << jobs;
+    for (const FaultType fault : config.faults) {
+      const SensitivityRun* run = result.get(ChainKind::kRedbelly, fault);
+      ASSERT_NE(run, nullptr);
+      EXPECT_EQ(to_json(ChainKind::kRedbelly, fault, *run), expected[fault])
+          << to_string(fault) << " at jobs " << jobs;
+    }
+  }
+}
+
+TEST(SharedRuns, MitigationPairsEqualTheirUnsharedRuns) {
+  MitigationConfig config;
+  config.chains = {ChainKind::kRedbelly};
+  config.faults = {FaultType::kCrash, FaultType::kTransient};
+  apply_run_window(config.base, 60);
+  std::vector<std::pair<std::string, std::string>> expected;
+  for (const FaultType fault : config.faults) {
+    const ExperimentConfig cell = paper_cell(config.base, fault);
+    expected.emplace_back(
+        to_json(ChainKind::kRedbelly, fault, unshared_pair(cell)),
+        to_json(ChainKind::kRedbelly, fault,
+                unshared_pair(mitigated_config(cell, config.layers))));
+  }
+  for (const unsigned jobs : {1u, 4u}) {
+    config.jobs = jobs;
+    const MitigationResult result = run_mitigation_campaign(config);
+    // Each side's twin is shared by both faults: 2 twins + 4 faulted runs.
+    EXPECT_EQ(result.experiments, 6u) << "jobs " << jobs;
+    ASSERT_EQ(result.pairs.size(), 2u);
+    for (std::size_t i = 0; i < result.pairs.size(); ++i) {
+      const MitigationPair& pair = result.pairs[i];
+      EXPECT_EQ(to_json(pair.chain, pair.fault, pair.unmitigated),
+                expected[i].first)
+          << to_string(pair.fault) << " at jobs " << jobs;
+      EXPECT_EQ(to_json(pair.chain, pair.fault, pair.mitigated),
+                expected[i].second)
+          << to_string(pair.fault) << " at jobs " << jobs;
+    }
+  }
+}
+
+TEST(SharedRuns, FaultFreePairRunsOnceWithItsObserversAttached) {
+  ExperimentConfig config;
+  apply_run_window(config, 30);
+  ASSERT_TRUE(same_experiment(config, baseline_of(config)));
+  // Before sharing: an unobserved twin, then the observed run.
+  sim::TraceSink reference_sink;
+  MetricsRegistry reference_metrics;
+  ExperimentConfig reference = config;
+  reference.trace = &reference_sink;
+  reference.metrics = &reference_metrics;
+  const std::string expected =
+      to_json(config.chain, config.fault, unshared_pair(reference));
+
+  sim::TraceSink sink;
+  MetricsRegistry metrics;
+  ExperimentConfig observed = config;
+  observed.trace = &sink;
+  observed.metrics = &metrics;
+  const PairPlan plan = plan_pairs({observed});
+  ASSERT_EQ(plan.runs.size(), 1u);
+  EXPECT_EQ(plan.runs.front().trace, &sink);
+  const PairResults results = run_pairs(plan);
+  EXPECT_EQ(results.experiments, 1u);
+  EXPECT_EQ(to_json(config.chain, config.fault, results.pairs.front()),
+            expected);
+  // Megabytes of JSON: compare without printing them on failure.
+  const std::string reference_trace = trace_to_json(reference_sink);
+  EXPECT_TRUE(trace_to_json(sink) == reference_trace);
+  EXPECT_TRUE(metrics.to_json() == reference_metrics.to_json());
+
+  // run_sensitivity is the same path.
+  sim::TraceSink single_sink;
+  MetricsRegistry single_metrics;
+  observed.trace = &single_sink;
+  observed.metrics = &single_metrics;
+  EXPECT_EQ(to_json(config.chain, config.fault, run_sensitivity(observed)),
+            expected);
+  EXPECT_TRUE(trace_to_json(single_sink) == reference_trace);
 }
 
 // ------------------------------------------------------------ seed sweep

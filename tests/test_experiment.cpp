@@ -173,10 +173,16 @@ TEST(PaperCell, MovesThePrimaryPlanAndKeepsTargetsKnobsAndComposedPlans) {
   EXPECT_EQ(cell.fault_schedule.plans[1].type, FaultType::kGray);
   EXPECT_TRUE(cell.fault_schedule.plans[1].targets.empty());
 
-  // The §7 geometry rides along on the secure-client cell.
+  // The §7 geometry rides along on the secure-client cell, unless the
+  // base pinned a fanout.
   const ExperimentConfig secure = paper_cell(base, FaultType::kSecureClient);
   EXPECT_EQ(secure.client_fanout, 4);
   EXPECT_DOUBLE_EQ(secure.vcpus, 8.0);
+  ExperimentConfig pinned = base;
+  pinned.client_fanout = 2;
+  const ExperimentConfig two = paper_cell(pinned, FaultType::kSecureClient);
+  EXPECT_EQ(two.client_fanout, 2);
+  EXPECT_DOUBLE_EQ(two.vcpus, 4.0);
   // An empty schedule stays empty: it stands for the cell's paper_plan.
   EXPECT_TRUE(
       paper_cell(ExperimentConfig{}, FaultType::kCrash).fault_schedule.empty());

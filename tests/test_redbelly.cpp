@@ -1,5 +1,5 @@
 // Redbelly protocol model tests: leaderless progress, superblocks,
-// crash-insensitivity, quorum loss, recovery, determinism.
+// crash-insensitivity, quorum loss, recovery, determinism, echo tallies.
 #include "chains/redbelly/redbelly.hpp"
 
 #include <gtest/gtest.h>
@@ -141,6 +141,70 @@ TEST(DecisionLogTest, FirstCandidateWins) {
   EXPECT_EQ(replay.proposers, (std::vector<net::NodeId>{1, 2}));
   EXPECT_NE(log.get(7), nullptr);
   EXPECT_EQ(log.get(8), nullptr);
+}
+
+// One real node (0) of a four-node cluster (t = 1, quorum 3, a proposal
+// joins the superblock with t + 1 = 2 echoes) and three scripted peers
+// that send hand-built proposals and echoes (make_proposal, make_echo).
+// Each round's decision reads the running echo counts, so it catches a
+// count that is not moved when an echo is replaced and a count or echoer
+// total that survives the round.
+struct ScriptedPeer final : net::Endpoint {
+  void deliver(const net::Envelope&) override {}
+  [[nodiscard]] bool endpoint_alive() const override { return true; }
+};
+
+TEST(RedbellyTally, ReplacedEchoMovesCountsAndRoundsStartFromZero) {
+  Harness harness;
+  sim::Simulation& simulation = harness.simulation;
+  net::Network& network = harness.network;
+  const auto decisions = std::make_shared<DecisionLog>();
+  chain::NodeConfig node_config;
+  node_config.n = 4;
+  node_config.network_seed = 77;
+  RedbellyNode node(simulation, network, node_config, RedbellyConfig{},
+                    decisions);
+  std::vector<ScriptedPeer> peers(3);
+  for (net::NodeId id = 1; id <= 3; ++id) network.attach(id, &peers[id - 1]);
+
+  const auto at = [&](double seconds, net::NodeId from,
+                      net::PayloadPtr payload) {
+    simulation.schedule_at(sim::seconds(seconds), [&network, from, payload] {
+      network.send(from, 0, payload);
+    });
+  };
+  const auto proposal = [](std::uint64_t round, net::NodeId proposer) {
+    chain::Transaction tx;
+    tx.id = 100 * round + proposer;
+    tx.from = proposer;
+    return make_proposal(round, proposer, {tx});
+  };
+  const auto echo = make_echo;
+
+  // Round 0. Node 0 echoes {0, 1, 2} near 1 s. Peer 1 echoes {2}, then
+  // replaces it with {1}; peer 2's echo {0} completes the quorum. Held
+  // counts: proposer 0 and 1 have two echoes, proposer 2 only node 0's.
+  at(0.1, 1, proposal(0, 1));
+  at(0.1, 2, proposal(0, 2));
+  at(2.0, 1, echo(0, {2}));
+  at(2.1, 1, echo(0, {1}));
+  at(2.2, 2, echo(0, {0}));
+  // Round 1 opens near 2.8 s and node 0 echoes {0, 1, 2} again; peers 3
+  // and 2 echo {2}. Only proposer 2 reaches two echoes of this round.
+  at(2.5, 1, proposal(1, 1));
+  at(2.5, 2, proposal(1, 2));
+  at(4.0, 3, echo(1, {2}));
+  at(4.1, 2, echo(1, {2}));
+
+  node.start();
+  simulation.run_until(sim::sec(3));
+  ASSERT_NE(decisions->get(0), nullptr);
+  EXPECT_EQ(decisions->get(0)->proposers, (std::vector<net::NodeId>{0, 1}));
+  EXPECT_EQ(decisions->get(1), nullptr) << "round 1 decided before its quorum";
+  simulation.run_until(sim::sec(5));
+  ASSERT_NE(decisions->get(1), nullptr);
+  EXPECT_EQ(decisions->get(1)->proposers, (std::vector<net::NodeId>{2}));
+  EXPECT_EQ(node.current_round(), 2u);
 }
 
 }  // namespace

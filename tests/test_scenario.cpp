@@ -100,6 +100,36 @@ TEST(Scenario, CheckedInSpecsRoundTripAndStateNOnlyOffItsDefault) {
   EXPECT_GE(specs, 16u);
 }
 
+TEST(Scenario, SpecThatChangesNoPlanLeavesTheScheduleEmpty) {
+  core::ScenarioSpec spec;
+  spec.fault = "crash";
+  EXPECT_TRUE(core::resolve_scenario(spec).config.fault_schedule.empty());
+  spec.fault_targets = {6, 7};
+  EXPECT_EQ(core::resolve_scenario(spec).config.fault_schedule.plans.size(),
+            1u);
+  spec.fault_targets.clear();
+  spec.loss_probability = 0.3;
+  EXPECT_EQ(core::resolve_scenario(spec).config.fault_schedule.plans.size(),
+            1u);
+
+  // So every checked-in fault-free spec is its own fault-free twin and
+  // runs once.
+  std::size_t fault_free = 0;
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           STABL_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream file(entry.path());
+    std::ostringstream text;
+    text << file.rdbuf();
+    const core::ExperimentConfig config =
+        core::resolve_scenario(core::scenario_from_json(text.str())).config;
+    if (config.fault != core::FaultType::kNone) continue;
+    EXPECT_EQ(core::plan_pairs({config}).runs.size(), 1u) << entry.path();
+    ++fault_free;
+  }
+  EXPECT_EQ(fault_free, 7u);
+}
+
 // -------------------------------------------------------------- rejection
 
 TEST(Scenario, UnknownKeysAreRejected) {
