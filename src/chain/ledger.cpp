@@ -1,6 +1,7 @@
 #include "chain/ledger.hpp"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "chain/hash.hpp"
@@ -10,27 +11,27 @@ namespace stabl::chain {
 const Block& Ledger::append(Block block) {
   assert(block.height == blocks_.size() && "out-of-order block append");
   assert(block.committed_at >= last_commit_time());
+  assert(blocks_.size() < std::numeric_limits<std::uint32_t>::max());
+  const auto index = static_cast<std::uint32_t>(blocks_.size());
   for (const Transaction& tx : block.txs) {
-    assert(!tx_records_.contains(tx.id) && "transaction committed twice");
-    tx_records_.emplace(tx.id,
-                        TxRecord{block.committed_at, blocks_.size()});
+    const bool inserted = tx_blocks_.insert(tx.id, index);
+    assert(inserted && "transaction committed twice");
+    (void)inserted;
   }
   blocks_.push_back(std::move(block));
   return blocks_.back();
 }
 
-bool Ledger::is_committed(TxId id) const { return tx_records_.contains(id); }
+bool Ledger::is_committed(TxId id) const { return tx_blocks_.contains(id); }
 
 sim::Time Ledger::commit_time(TxId id) const {
-  const auto it = tx_records_.find(id);
-  assert(it != tx_records_.end());
-  return it->second.committed_at;
+  return blocks_[block_index(id)].committed_at;
 }
 
 std::size_t Ledger::block_index(TxId id) const {
-  const auto it = tx_records_.find(id);
-  assert(it != tx_records_.end());
-  return it->second.block_index;
+  const std::uint32_t* index = tx_blocks_.find(id);
+  assert(index != nullptr);
+  return *index;
 }
 
 sim::Time Ledger::last_commit_time() const {

@@ -5,9 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "chain/tx_table.hpp"
 #include "chain/types.hpp"
 
 namespace stabl::chain {
@@ -30,7 +30,7 @@ class Ledger {
   /// Next height to append at (= number of blocks).
   [[nodiscard]] std::uint64_t height() const { return blocks_.size(); }
 
-  [[nodiscard]] std::uint64_t tx_count() const { return tx_records_.size(); }
+  [[nodiscard]] std::uint64_t tx_count() const { return tx_blocks_.size(); }
   [[nodiscard]] const std::vector<Block>& blocks() const { return blocks_; }
 
   /// Commit time of the most recent block, or zero when empty.
@@ -49,13 +49,10 @@ class Ledger {
   [[nodiscard]] std::uint64_t content_hash_at(std::uint64_t height) const;
 
  private:
-  struct TxRecord {
-    sim::Time committed_at{0};
-    std::size_t block_index = 0;
-  };
-
   std::vector<Block> blocks_;
-  std::unordered_map<TxId, TxRecord> tx_records_;
+  // tx id -> index of its block in blocks_ (whose committed_at is the
+  // transaction's commit time).
+  TxTable<std::uint32_t> tx_blocks_;
 };
 
 }  // namespace stabl::chain

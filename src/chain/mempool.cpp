@@ -11,22 +11,21 @@ bool Mempool::add(const Transaction& tx) {
   }
   // A different transaction already occupying this (sender, nonce) slot is
   // a conflict; first-come-first-served (no fee-replacement modeled).
-  auto& slot = by_sender_[tx.from][tx.nonce];
-  if (slot != 0) {
+  const auto [pooled, inserted] = by_sender_[tx.from].try_emplace(tx.nonce, tx);
+  if (!inserted) {
     ++duplicate_submissions_;
     return false;
   }
-  slot = tx.id;
-  by_id_.emplace(tx.id, tx);
+  by_id_.insert(tx.id, &pooled->second);
   return true;
 }
 
 bool Mempool::contains(TxId id) const { return by_id_.contains(id); }
 
 std::optional<Transaction> Mempool::get(TxId id) const {
-  const auto it = by_id_.find(id);
-  if (it == by_id_.end()) return std::nullopt;
-  return it->second;
+  const Transaction* const* pooled = by_id_.find(id);
+  if (pooled == nullptr) return std::nullopt;
+  return **pooled;
 }
 
 std::vector<Transaction> Mempool::collect_ready(
@@ -46,7 +45,7 @@ std::vector<Transaction> Mempool::collect_ready(
     for (; it != by_nonce.end(); ++it) {
       if (it->first != expected) break;  // nonce gap: stop this sender
       if (out.size() >= max_count) return out;
-      out.push_back(by_id_.at(it->second));
+      out.push_back(it->second);
       ++expected;
     }
     if (it != by_nonce.end()) {
@@ -64,14 +63,16 @@ std::vector<Transaction> Mempool::collect_ready(
 
 void Mempool::remove(const std::vector<Transaction>& txs) {
   for (const Transaction& tx : txs) {
-    const auto it = by_id_.find(tx.id);
-    if (it == by_id_.end()) continue;
-    auto sender_it = by_sender_.find(it->second.from);
+    const Transaction* const* pooled = by_id_.find(tx.id);
+    if (pooled == nullptr) continue;
+    const AccountId from = (*pooled)->from;
+    const std::uint64_t nonce = (*pooled)->nonce;
+    by_id_.erase(tx.id);
+    auto sender_it = by_sender_.find(from);
     if (sender_it != by_sender_.end()) {
-      sender_it->second.erase(it->second.nonce);
+      sender_it->second.erase(nonce);
       if (sender_it->second.empty()) by_sender_.erase(sender_it);
     }
-    by_id_.erase(it);
   }
 }
 
@@ -81,7 +82,7 @@ void Mempool::remove_stale(const NonceFn& next_nonce) {
     auto& by_nonce = sender_it->second;
     for (auto it = by_nonce.begin();
          it != by_nonce.end() && it->first < expected;) {
-      by_id_.erase(it->second);
+      by_id_.erase(it->second.id);
       it = by_nonce.erase(it);
     }
     sender_it = by_nonce.empty() ? by_sender_.erase(sender_it)
@@ -93,7 +94,7 @@ std::vector<TxId> Mempool::known_ids() const {
   std::vector<TxId> ids;
   ids.reserve(by_id_.size());
   for (const auto& [sender, by_nonce] : by_sender_) {
-    for (const auto& [nonce, id] : by_nonce) ids.push_back(id);
+    for (const auto& [nonce, tx] : by_nonce) ids.push_back(tx.id);
   }
   return ids;
 }

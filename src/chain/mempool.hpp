@@ -14,9 +14,9 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "chain/tx_table.hpp"
 #include "chain/types.hpp"
 
 namespace stabl::chain {
@@ -25,6 +25,12 @@ class Mempool {
  public:
   /// Resolver from account to the next expected nonce (the replica's view).
   using NonceFn = std::function<std::uint64_t(AccountId)>;
+
+  Mempool() = default;
+  // by_id_ points into by_sender_'s nodes, so a copy would point into
+  // the original.
+  Mempool(const Mempool&) = delete;
+  Mempool& operator=(const Mempool&) = delete;
 
   /// Add a transaction. Returns true when newly added; false for
   /// duplicates (which are counted, see duplicate_submissions()).
@@ -73,9 +79,12 @@ class Mempool {
   }
 
  private:
-  std::unordered_map<TxId, Transaction> by_id_;
-  // sender -> nonce -> txid; ordered maps give deterministic iteration.
-  std::map<AccountId, std::map<std::uint64_t, TxId>> by_sender_;
+  // Dedup index: tx id -> the pooled transaction in by_sender_ (a map
+  // node does not move, and both entries are erased together).
+  TxTable<const Transaction*> by_id_;
+  // sender -> nonce -> transaction; ordered maps give deterministic
+  // iteration.
+  std::map<AccountId, std::map<std::uint64_t, Transaction>> by_sender_;
   std::uint64_t duplicate_submissions_ = 0;
 };
 

@@ -167,8 +167,9 @@ void BlockchainNode::accept_transaction(const Transaction& tx) {
 }
 
 bool BlockchainNode::pool_transaction(const Transaction& tx) {
-  if (ledger_.is_committed(tx.id)) return false;
-  if (accounts_.next_nonce(tx.from) > tx.nonce) return false;  // stale
+  // Stale, including every committed transaction: it was applied, so its
+  // sender's nonce has passed it (see commit_block).
+  if (accounts_.next_nonce(tx.from) > tx.nonce) return false;
   if (!mempool_.add(tx)) return false;
   if (auto* lifecycle = simulation().lifecycle()) {
     lifecycle->mark(tx.id, sim::TxStage::kQueued, now());
@@ -198,9 +199,12 @@ const Block* BlockchainNode::commit_block(std::vector<Transaction> txs,
                                           bool allow_empty) {
   std::vector<Transaction> applied;
   applied.reserve(txs.size());
+  // A transaction already in the ledger (a cross-proposal duplicate) was
+  // applied when it committed, or by rebuild_accounts() before this boot
+  // accepted any message, so its sender's nonce has passed it and apply()
+  // rejects it like a nonce gap; no ledger probe is needed.
   for (const Transaction& tx : txs) {
-    if (ledger_.is_committed(tx.id)) continue;  // cross-proposal duplicate
-    if (!accounts_.apply(tx)) continue;         // nonce gap or no funds
+    if (!accounts_.apply(tx)) continue;  // committed, nonce gap or no funds
     applied.push_back(tx);
   }
   if (applied.empty() && !allow_empty) return nullptr;
@@ -288,7 +292,8 @@ void BlockchainNode::handle_sync_response(const net::Envelope& envelope) {
     std::vector<Transaction> applied;
     applied.reserve(copy.txs.size());
     for (const Transaction& tx : copy.txs) {
-      if (ledger_.is_committed(tx.id)) continue;
+      // Already committed here: rejected by its passed nonce, as in
+      // commit_block.
       if (!accounts_.apply(tx)) continue;
       applied.push_back(tx);
     }

@@ -49,6 +49,26 @@ const CertAnchor::Decision* CertAnchor::get(std::uint64_t round) const {
   return it == decisions_.end() ? nullptr : &it->second;
 }
 
+void AlgorandNode::VoteTally::record(net::NodeId voter, net::NodeId value) {
+  const auto [it, inserted] = votes_.try_emplace(voter, value);
+  if (!inserted) {
+    if (it->second == value) return;
+    --counts_[it->second];  // the replaced vote no longer counts
+    it->second = value;
+  }
+  ++counts_[value];
+}
+
+void AlgorandNode::VoteTally::clear() {
+  votes_.clear();
+  counts_.clear();
+}
+
+const net::NodeId* AlgorandNode::VoteTally::vote_of(net::NodeId voter) const {
+  const auto it = votes_.find(voter);
+  return it == votes_.end() ? nullptr : &it->second;
+}
+
 AlgorandNode::AlgorandNode(sim::Simulation& simulation, net::Network& network,
                            chain::NodeConfig node_config,
                            AlgorandConfig config,
@@ -171,7 +191,7 @@ void AlgorandNode::cast_soft_vote() {
     own_soft_vote_ =
         std::make_shared<const VotePayload>(round_, VoteStep::kSoft,
                                             node_id(), value);
-    soft_votes_[node_id()] = value;
+    soft_votes_.record(node_id(), value);
     broadcast(own_soft_vote_, 96);
     tally_soft_votes();
     return;
@@ -191,7 +211,7 @@ void AlgorandNode::cast_soft_vote() {
   auto vote = std::make_shared<const VotePayload>(
       round_, VoteStep::kSoft, node_id(), proposal_value_);
   own_soft_vote_ = vote;
-  soft_votes_[node_id()] = proposal_value_;
+  soft_votes_.record(node_id(), proposal_value_);
   broadcast(own_soft_vote_, 96);
   tally_soft_votes();
 }
@@ -206,14 +226,12 @@ void AlgorandNode::tally_soft_votes() {
     own_cert_vote_ =
         std::make_shared<const VotePayload>(round_, VoteStep::kCert,
                                             node_id(), value);
-    cert_votes_[node_id()] = value;
+    cert_votes_.record(node_id(), value);
     broadcast(own_cert_vote_, 96);
     tally_cert_votes();
     return;
   }
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [voter, value] : soft_votes_) ++counts[value];
-  for (const auto& [value, count] : counts) {
+  for (const auto& [value, count] : soft_votes_.counts()) {
     if (count < vote_quorum()) continue;
     cert_voted_ = true;
     auto& record = persisted_votes_[round_];
@@ -223,7 +241,7 @@ void AlgorandNode::tally_soft_votes() {
         std::make_shared<const VotePayload>(round_, VoteStep::kCert,
                                             node_id(), value);
     own_cert_vote_ = vote;
-    cert_votes_[node_id()] = value;
+    cert_votes_.record(node_id(), value);
     broadcast(own_cert_vote_, 96);
     tally_cert_votes();
     return;
@@ -231,9 +249,7 @@ void AlgorandNode::tally_soft_votes() {
 }
 
 void AlgorandNode::tally_cert_votes() {
-  std::map<net::NodeId, std::size_t> counts;
-  for (const auto& [voter, value] : cert_votes_) ++counts[value];
-  for (const auto& [value, count] : counts) {
+  for (const auto& [value, count] : cert_votes_.counts()) {
     if (count < vote_quorum()) continue;
     if (value != kEmptyValue && proposal_value_ != value &&
         anchor_->get(round_) == nullptr) {
@@ -274,17 +290,33 @@ void AlgorandNode::commit_value(net::NodeId value) {
 void AlgorandNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
   if (const auto* batch = dynamic_cast<const chain::TxBatchPayload*>(payload)) {
+    // `fresh` is filled only once a transaction turns out stale: a batch
+    // that is fresh throughout is relayed as the payload it arrived in.
     std::vector<chain::Transaction> fresh;
-    for (const chain::Transaction& tx : batch->txs) {
-      if (pool_transaction(tx)) fresh.push_back(tx);
+    bool all_fresh = true;
+    for (std::size_t i = 0; i < batch->txs.size(); ++i) {
+      const chain::Transaction& tx = batch->txs[i];
+      if (pool_transaction(tx)) {
+        if (!all_fresh) fresh.push_back(tx);
+      } else if (all_fresh) {
+        all_fresh = false;
+        fresh.assign(batch->txs.begin(),
+                     batch->txs.begin() + static_cast<std::ptrdiff_t>(i));
+      }
     }
-    if (is_relay_ && !fresh.empty()) {
-      // Push gossip through the relay tier.
-      auto forward = std::make_shared<const chain::TxBatchPayload>(fresh);
-      for (const net::NodeId peer : connections().peers()) {
-        if (peer != envelope.from) {
-          connections().send(peer, forward, envelope.bytes);
-        }
+    if (!is_relay_) return;
+    // Push gossip through the relay tier.
+    net::PayloadPtr forward;
+    if (all_fresh && !batch->txs.empty()) {
+      forward = envelope.payload;
+    } else if (!fresh.empty()) {
+      forward = std::make_shared<const chain::TxBatchPayload>(std::move(fresh));
+    } else {
+      return;
+    }
+    for (const net::NodeId peer : connections().peers()) {
+      if (peer != envelope.from) {
+        connections().send(peer, forward, envelope.bytes);
       }
     }
     return;
@@ -336,21 +368,21 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
       // Double-vote evidence: switching soft votes *from the empty value*
       // to a proposal is legitimate BA* recovery (see rebroadcast());
       // switching away from a non-empty value is not.
-      const auto known = soft_votes_.find(vote->voter);
-      if (known != soft_votes_.end() && known->second != kEmptyValue &&
-          known->second != vote->value) {
+      const net::NodeId* known = soft_votes_.vote_of(vote->voter);
+      if (known != nullptr && *known != kEmptyValue &&
+          *known != vote->value) {
         report_misbehavior(vote->voter, core::Offense::kEquivocation);
       }
-      soft_votes_[vote->voter] = vote->value;
+      soft_votes_.record(vote->voter, vote->value);
       tally_soft_votes();
     } else {
       // Cert votes are cast at most once per round (persisted to disk
       // before sending); any conflicting pair is equivocation.
-      const auto known = cert_votes_.find(vote->voter);
-      if (known != cert_votes_.end() && known->second != vote->value) {
+      const net::NodeId* known = cert_votes_.vote_of(vote->voter);
+      if (known != nullptr && *known != vote->value) {
         report_misbehavior(vote->voter, core::Offense::kEquivocation);
       }
-      cert_votes_[vote->voter] = vote->value;
+      cert_votes_.record(vote->voter, vote->value);
       tally_cert_votes();
     }
     return;
@@ -439,12 +471,13 @@ void AlgorandNode::rebroadcast() {
   // proposal so the round can still certify. Votes are last-write-wins
   // per voter, and cert votes are cast at most once per round, so two
   // conflicting certified values would need 2*quorum > n distinct nodes.
-  if (soft_voted_ && proposal_value_ != kEmptyValue &&
-      soft_votes_[node_id()] == kEmptyValue) {
+  const net::NodeId* own_soft = soft_votes_.vote_of(node_id());
+  if (soft_voted_ && proposal_value_ != kEmptyValue && own_soft != nullptr &&
+      *own_soft == kEmptyValue) {
     auto vote = std::make_shared<const VotePayload>(
         round_, VoteStep::kSoft, node_id(), proposal_value_);
     own_soft_vote_ = vote;
-    soft_votes_[node_id()] = proposal_value_;
+    soft_votes_.record(node_id(), proposal_value_);
     auto& record = persisted_votes_[round_];
     record.has_soft = true;
     record.soft_value = proposal_value_;
@@ -456,6 +489,24 @@ void AlgorandNode::rebroadcast() {
   if (own_cert_vote_ != nullptr) broadcast(own_cert_vote_, 96);
   rebroadcast_timer_ = set_timer(config_.rebroadcast_interval,
                                  [this] { rebroadcast(); });
+}
+
+net::PayloadPtr make_proposal(std::uint64_t round, net::NodeId proposer,
+                              std::vector<chain::Transaction> txs) {
+  return std::make_shared<const ProposalPayload>(round, proposer,
+                                                 std::move(txs));
+}
+
+net::PayloadPtr make_soft_vote(std::uint64_t round, net::NodeId voter,
+                               net::NodeId value) {
+  return std::make_shared<const VotePayload>(round, VoteStep::kSoft, voter,
+                                             value);
+}
+
+net::PayloadPtr make_cert_vote(std::uint64_t round, net::NodeId voter,
+                               net::NodeId value) {
+  return std::make_shared<const VotePayload>(round, VoteStep::kCert, voter,
+                                             value);
 }
 
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(

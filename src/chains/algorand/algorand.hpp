@@ -98,6 +98,9 @@ class AlgorandNode final : public chain::BlockchainNode {
                chain::NodeConfig node_config, AlgorandConfig config,
                std::shared_ptr<CertAnchor> anchor, bool is_relay);
 
+  /// Vote value meaning "no proposal seen" (the empty block).
+  static constexpr net::NodeId kEmptyValue = ~net::NodeId{0};
+
   [[nodiscard]] bool is_relay() const { return is_relay_; }
 
   [[nodiscard]] std::uint64_t current_round() const { return round_; }
@@ -122,8 +125,26 @@ class AlgorandNode final : public chain::BlockchainNode {
   [[nodiscard]] bool withholdable(const net::Payload& payload) const override;
 
  private:
-  /// Sentinel vote value meaning "no proposal seen" (the empty block).
-  static constexpr net::NodeId kEmptyValue = ~net::NodeId{0};
+  /// One voting step's votes (voter -> value) with a running count per
+  /// value, so a quorum check reads counts() instead of recounting the
+  /// round's votes on every message. record() is the only writer: a
+  /// voter's new vote first takes its replaced vote's count away.
+  class VoteTally {
+   public:
+    void record(net::NodeId voter, net::NodeId value);
+    void clear();
+    /// The voter's current vote, or nullptr.
+    [[nodiscard]] const net::NodeId* vote_of(net::NodeId voter) const;
+    /// Votes per value, in value order (values no vote holds any more
+    /// stay at zero until clear()).
+    [[nodiscard]] const std::map<net::NodeId, std::size_t>& counts() const {
+      return counts_;
+    }
+
+   private:
+    std::map<net::NodeId, net::NodeId> votes_;
+    std::map<net::NodeId, std::size_t> counts_;
+  };
 
   void begin_round();
   void propose_if_selected();
@@ -151,8 +172,8 @@ class AlgorandNode final : public chain::BlockchainNode {
   bool grace_used_ = false;
   net::NodeId proposal_value_ = kEmptyValue;  // proposer we saw
   std::vector<chain::Transaction> proposal_txs_;
-  std::map<net::NodeId, net::NodeId> soft_votes_;  // voter -> value
-  std::map<net::NodeId, net::NodeId> cert_votes_;
+  VoteTally soft_votes_;
+  VoteTally cert_votes_;
   net::PayloadPtr own_soft_vote_;
   net::PayloadPtr own_cert_vote_;
   net::PayloadPtr own_proposal_;
@@ -178,6 +199,16 @@ class AlgorandNode final : public chain::BlockchainNode {
   sim::TimerId vote_timer_ = sim::kInvalidTimer;
   sim::TimerId rebroadcast_timer_ = sim::kInvalidTimer;
 };
+
+/// A proposal and the two votes as a node sends them, for harnesses that
+/// script a peer. The payload types stay in algorand.cpp, as Redbelly's
+/// do (see make_proposal in redbelly.hpp).
+net::PayloadPtr make_proposal(std::uint64_t round, net::NodeId proposer,
+                              std::vector<chain::Transaction> txs);
+net::PayloadPtr make_soft_vote(std::uint64_t round, net::NodeId voter,
+                               net::NodeId value);
+net::PayloadPtr make_cert_vote(std::uint64_t round, net::NodeId voter,
+                               net::NodeId value);
 
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(
     sim::Simulation& simulation, net::Network& network,

@@ -193,9 +193,9 @@ void SolanaNode::produce_block(std::uint64_t slot) {
   for (auto it = leader_buffer_.begin();
        it != leader_buffer_.end() && batch.size() < config_.max_slot_txs;) {
     const chain::Transaction& tx = it->second;
-    if (ledger().is_committed(tx.id) ||
-        accounts().next_nonce(tx.from) > tx.nonce) {
-      it = leader_buffer_.erase(it);  // stale
+    // Stale; a committed transaction's sender nonce has passed it too.
+    if (accounts().next_nonce(tx.from) > tx.nonce) {
+      it = leader_buffer_.erase(it);
       continue;
     }
     batch.push_back(tx);

@@ -1,5 +1,6 @@
 #include "net/connection.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -41,7 +42,12 @@ ConnectionManager::ConnectionManager(sim::Process& host, Network& network,
       policy_(policy),
       callbacks_(std::move(callbacks)),
       rng_(network.simulation().rng().fork()) {
-  for (const NodeId peer : peer_ids_) peers_.emplace(peer, Peer{});
+  for (const NodeId peer : peer_ids_) {
+    if (peer >= peers_.size()) {
+      peers_.resize(std::size_t{peer} + 1, Peer{State::kNotPeer});
+    }
+    peers_[peer] = Peer{};
+  }
 }
 
 void ConnectionManager::start() {
@@ -53,20 +59,18 @@ void ConnectionManager::start() {
 }
 
 void ConnectionManager::stop() {
-  for (auto& [id, peer] : peers_) peer = Peer{};
+  for (const NodeId peer : peer_ids_) peers_[peer] = Peer{};
 }
 
 bool ConnectionManager::connected(NodeId peer) const {
-  const auto it = peers_.find(peer);
-  return it != peers_.end() && it->second.state == State::kConnected;
+  return peer < peers_.size() && peers_[peer].state == State::kConnected;
 }
 
 std::size_t ConnectionManager::connected_count() const {
-  std::size_t count = 0;
-  for (const auto& [id, peer] : peers_) {
-    if (peer.state == State::kConnected) ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(
+      std::count_if(peers_.begin(), peers_.end(), [](const Peer& peer) {
+        return peer.state == State::kConnected;
+      }));
 }
 
 std::vector<NodeId> ConnectionManager::connected_peers() const {
@@ -88,8 +92,8 @@ bool ConnectionManager::send(NodeId peer, PayloadPtr payload,
 }
 
 bool ConnectionManager::handle(const Envelope& envelope) {
-  const auto it = peers_.find(envelope.from);
-  if (it == peers_.end()) {
+  Peer* peer = find_peer(envelope.from);
+  if (peer == nullptr) {
     // Inbound traffic from a machine outside our peer set (e.g. a client
     // dialing a node). Accept the connection protocol without tracking it.
     const auto* control =
@@ -108,7 +112,7 @@ bool ConnectionManager::handle(const Envelope& envelope) {
         return true;
     }
   }
-  Peer& state = it->second;
+  Peer& state = *peer;
   const auto* control =
       dynamic_cast<const ControlPayload*>(envelope.payload.get());
   if (control == nullptr) {
@@ -188,6 +192,8 @@ void ConnectionManager::tick() {
       case State::kDown:
         dial(id);
         break;
+      case State::kNotPeer:  // never: peer_ids_ are all tracked
+        break;
     }
   }
   host_.set_timer(policy_.tick, [this] { tick(); });
@@ -231,10 +237,16 @@ void ConnectionManager::send_control(NodeId peer, ControlPayload::Kind kind) {
   net_.send(self_, peer, control_frame(kind), 64);
 }
 
+ConnectionManager::Peer* ConnectionManager::find_peer(NodeId id) {
+  return id < peers_.size() && peers_[id].state != State::kNotPeer
+             ? &peers_[id]
+             : nullptr;
+}
+
 ConnectionManager::Peer& ConnectionManager::peer_state(NodeId peer) {
-  const auto it = peers_.find(peer);
-  assert(it != peers_.end() && "envelope from an unknown peer");
-  return it->second;
+  Peer* state = find_peer(peer);
+  assert(state != nullptr && "envelope from an unknown peer");
+  return *state;
 }
 
 }  // namespace stabl::net

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.hpp"
@@ -77,7 +76,14 @@ class ConnectionManager {
   bool handle(const Envelope& envelope);
 
  private:
-  enum class State : std::uint8_t { kDown, kDialing, kBackoff, kConnected };
+  // kNotPeer marks the peers_ entries of ids outside peer_ids_.
+  enum class State : std::uint8_t {
+    kNotPeer,
+    kDown,
+    kDialing,
+    kBackoff,
+    kConnected
+  };
 
   struct Peer {
     State state = State::kDown;
@@ -92,6 +98,8 @@ class ConnectionManager {
   void mark_up(NodeId peer);
   void schedule_retry(NodeId peer);
   void send_control(NodeId peer, ControlPayload::Kind kind);
+  /// The state of a tracked peer, or nullptr for any other id.
+  Peer* find_peer(NodeId id);
   Peer& peer_state(NodeId peer);
 
   sim::Process& host_;
@@ -101,7 +109,9 @@ class ConnectionManager {
   ConnectionPolicy policy_;
   Callbacks callbacks_;
   sim::Rng rng_;
-  std::unordered_map<NodeId, Peer> peers_;
+  // Indexed by NodeId (ids are dense, see message.hpp), up to the largest
+  // tracked peer.
+  std::vector<Peer> peers_;
 };
 
 }  // namespace stabl::net

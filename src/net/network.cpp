@@ -22,6 +22,7 @@ Network::Network(sim::Simulation& simulation, LatencyConfig latency)
 
 void Network::attach(NodeId id, Endpoint* endpoint) {
   require(endpoint != nullptr, "attach: null endpoint");
+  if (id >= endpoints_.size()) endpoints_.resize(std::size_t{id} + 1);
   endpoints_[id] = endpoint;
 }
 
@@ -56,13 +57,13 @@ void Network::deliver(const Envelope& envelope) {
     ++stats_.dropped_loss;
     return;
   }
-  const auto it = endpoints_.find(envelope.to);
-  if (it == endpoints_.end()) {
+  Endpoint* endpoint =
+      envelope.to < endpoints_.size() ? endpoints_[envelope.to] : nullptr;
+  if (endpoint == nullptr) {
     // No such host: the packet disappears (no RST without a machine).
     ++stats_.dropped_dead;
     return;
   }
-  Endpoint* endpoint = it->second;
   if (!endpoint->endpoint_alive()) {
     ++stats_.dropped_dead;
     // A dead *process* (not machine) means the OS answers with a TCP RST,

@@ -162,7 +162,8 @@ class Network {
   sim::Simulation& sim_;
   LatencyModel latency_;
   sim::Rng rng_;
-  std::unordered_map<NodeId, Endpoint*> endpoints_;
+  // Indexed by NodeId (ids are dense, see message.hpp); null = no machine.
+  std::vector<Endpoint*> endpoints_;
   std::unordered_map<RuleId, Rule> rules_;
   RuleId next_rule_ = 1;
   NetworkStats stats_;

@@ -25,7 +25,15 @@ class StubNode final : public BlockchainNode {
  protected:
   void start_protocol() override { ++protocol_starts; }
   void stop_protocol() override { ++protocol_stops; }
-  void on_app_message(const net::Envelope&) override {}
+  void on_app_message(const net::Envelope& envelope) override {
+    // Gossip: pool a peer's batch, as the chains' TxBatchPayload handlers do.
+    if (const auto* batch =
+            dynamic_cast<const TxBatchPayload*>(envelope.payload.get())) {
+      for (const Transaction& tx : batch->txs) {
+        if (pool_transaction(tx)) on_transaction(tx);
+      }
+    }
+  }
   void on_transaction(const Transaction& tx) override { seen.push_back(tx); }
 };
 
@@ -42,10 +50,12 @@ class ClientProbe final : public sim::Process, public net::Endpoint {
     if (const auto* notify = dynamic_cast<const CommitNotifyPayload*>(
             envelope.payload.get())) {
       notifications.push_back(notify->id);
+      commit_times.push_back(notify->committed_at);
     }
   }
   [[nodiscard]] bool endpoint_alive() const override { return alive(); }
   std::vector<TxId> notifications;
+  std::vector<sim::Time> commit_times;  ///< Parallel to notifications.
 };
 
 Transaction make_tx(TxId id, AccountId from, std::uint64_t nonce) {
@@ -184,6 +194,78 @@ TEST_F(NodeBaseTest, PoolTransactionRejectsStale) {
   EXPECT_FALSE(nodes[0]->pool_transaction(make_tx(1, 7, 0)));  // committed
   EXPECT_FALSE(nodes[0]->pool_transaction(make_tx(9, 7, 0)));  // old nonce
   EXPECT_TRUE(nodes[0]->pool_transaction(make_tx(10, 7, 1)));
+}
+
+// pool_transaction, commit_block and the state-sync path hold no ledger
+// probe: a committed transaction was applied, so its sender's nonce has
+// passed it, and boot() rebuilds the nonces from the ledger before any
+// message is accepted. Node 0 commits, crashes and restarts (nonces
+// replayed from its ledger); node 1 crashes, restarts and learns the same
+// blocks by state sync (nonces applied from the chunk). Committed
+// transactions re-delivered to either one by gossip, by client submit or
+// in a later decision must not enter the mempool, must not count as
+// duplicate submissions, and a submit must still be answered with the
+// original commit time. Checked with gtest assertions, so every build
+// type runs it (Ledger::append's double-commit assert does not).
+TEST_F(NodeBaseTest, CommittedTransactionsStayOutAfterRestartAndSync) {
+  const std::vector<Transaction> committed{make_tx(1, 7, 0), make_tx(2, 7, 1),
+                                           make_tx(3, 8, 0)};
+  nodes[0]->commit_block({committed[0], committed[1]}, 0);
+  const sim::Time first_commit = simulation.now();
+  simulation.run_until(simulation.now() + sim::ms(50));
+  nodes[0]->commit_block({committed[2]}, 0);
+  const sim::Time second_commit = simulation.now();
+  for (StubNode* node : {nodes[0].get(), nodes[1].get()}) {
+    node->kill();
+    node->start();
+  }
+  simulation.run_until(simulation.now() + sim::sec(2));  // boot delay
+  nodes[1]->request_sync(0);
+  simulation.run_until(simulation.now() + sim::ms(100));
+  ASSERT_EQ(nodes[1]->ledger().height(), 2u);
+  ASSERT_EQ(nodes[1]->ledger().tx_count(), 3u);
+
+  for (net::NodeId id = 0; id < 2; ++id) {
+    StubNode& node = *nodes[id];
+    const auto pooled = node.mempool().size();
+    const auto duplicates = node.mempool().duplicate_submissions();
+    const auto hooked = node.seen.size();
+    network.send(1 - id, id, std::make_shared<const TxBatchPayload>(committed));
+    simulation.run_until(simulation.now() + sim::ms(20));
+    client->notifications.clear();
+    client->commit_times.clear();
+    for (const Transaction& tx : committed) submit(node, tx);
+    EXPECT_EQ(node.commit_block(committed, 0), nullptr) << "node " << id;
+    EXPECT_EQ(node.mempool().size(), pooled) << "node " << id;
+    EXPECT_EQ(node.mempool().duplicate_submissions(), duplicates)
+        << "node " << id;
+    EXPECT_EQ(node.seen.size(), hooked) << "node " << id;
+    EXPECT_EQ(node.ledger().tx_count(), 3u) << "node " << id;
+    EXPECT_EQ(client->notifications, (std::vector<TxId>{1, 2, 3}))
+        << "node " << id;
+    EXPECT_EQ(client->commit_times,
+              (std::vector<sim::Time>{first_commit, first_commit,
+                                      second_commit}))
+        << "node " << id;
+  }
+}
+
+// The sync path's filter, without a ledger probe: a chunk whose block
+// holds a transaction this replica already committed (at another height)
+// applies only the rest.
+TEST_F(NodeBaseTest, StateSyncSkipsTransactionsAlreadyCommittedHere) {
+  nodes[0]->commit_block({make_tx(3, 8, 0)}, 0);
+  nodes[0]->commit_block({make_tx(1, 7, 0), make_tx(2, 7, 1)}, 0);
+  nodes[1]->commit_block({make_tx(1, 7, 0)}, 0);
+  nodes[1]->request_sync(0);  // asks from height 1
+  simulation.run_until(simulation.now() + sim::ms(100));
+  const auto& blocks = nodes[1]->ledger().blocks();
+  ASSERT_EQ(blocks.size(), 2u);
+  ASSERT_EQ(blocks[1].txs.size(), 1u);
+  EXPECT_EQ(blocks[1].txs[0].id, 2u);
+  EXPECT_EQ(nodes[1]->ledger().tx_count(), 2u);
+  EXPECT_EQ(nodes[1]->ledger().block_index(1), 0u);
+  EXPECT_EQ(nodes[1]->accounts().next_nonce(7), 2u);
 }
 
 }  // namespace
