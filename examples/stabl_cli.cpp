@@ -38,12 +38,15 @@
 // does not declare the key. --dump-scenario resolves the spec first, so
 // it exits 2 on anything the run itself would reject.
 //
-// --suite DIR runs every DIR/*.json spec in file-name order, each exactly
-// as --scenario would, and prints one row per run (one per seed for a
-// seed sweep): csv is "spec,seed," followed by the single-run csv columns,
-// so a checked-in expected.csv next to the specs gates the whole suite
-// with one cmp. Every spec is resolved before the first runs; an invalid
-// or chaos spec exits 2 naming its file.
+// --suite DIR resolves every DIR/*.json spec, expands each spec's seeds,
+// and runs all of them as one plan (core::plan_pairs + run_pairs), so
+// specs that need the same fault-free twin share one run. It prints one
+// row per spec and seed, in file-name order then seed order: csv is
+// "spec,seed," followed by the single-run csv columns, so a checked-in
+// expected.csv next to the specs gates the whole suite with one cmp. The
+// plan uses the largest "jobs" of the suite's specs; the rows are the
+// same for any value. An invalid spec, a chaos spec and a spec naming a
+// trace or metrics file exit 2 naming the file.
 //
 // --seeds N sweeps N consecutive seeds starting at --seed and reports the
 // per-seed scores plus mean/min/max/stddev aggregates; --jobs N fans the
@@ -142,9 +145,9 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --dump-scenario     print the scenario JSON this invocation\n"
       "                      resolves to and exit (check it in, replay it\n"
       "                      with --scenario)\n"
-      "  --suite DIR         run every DIR/*.json scenario in file-name\n"
-      "                      order and print one row per run (per seed\n"
-      "                      for a sweep); csv output is what a checked-in\n"
+      "  --suite DIR         run every DIR/*.json scenario as one plan and\n"
+      "                      print one row per spec and seed, in file-name\n"
+      "                      order; csv output is what a checked-in\n"
       "                      DIR/expected.csv holds\n"
       "\n"
       "experiment selection:\n"
@@ -340,14 +343,13 @@ struct CellRun {
   std::size_t metrics_samples = 0;
 };
 
-// The one way --scenario and --suite run a resolved, non-chaos scenario: a
-// one-cell campaign when it sweeps seeds or asks for workers (its output
-// is identical for any jobs value), else one sensitivity pair with the
-// spec's trace sink and metrics registry attached and their files written.
-// `source` prefixes error messages ("" or "FILE: "); a config the run
+// How --scenario runs a resolved, non-chaos scenario: a one-cell campaign
+// when it sweeps seeds or asks for workers (its output is identical for
+// any jobs value), else one sensitivity pair with the spec's trace sink
+// and metrics registry attached and their files written. A config the run
 // rejects exits 2.
-CellRun run_cell(const char* argv0, const std::string& source,
-                 const core::ResolvedScenario& resolved, bool heartbeat) {
+CellRun run_cell(const char* argv0, const core::ResolvedScenario& resolved,
+                 bool heartbeat) {
   const core::ExperimentConfig& config = resolved.config;
   const std::string& trace_path = resolved.trace_path;
   const std::string& metrics_path = resolved.metrics_path;
@@ -355,9 +357,8 @@ CellRun run_cell(const char* argv0, const std::string& source,
   cell.campaign = resolved.num_seeds > 1 || resolved.jobs > 1;
   if (cell.campaign && (!trace_path.empty() || !metrics_path.empty())) {
     fail_usage(argv0,
-               source +
-                   "--trace/--metrics apply to single runs; rerun the seed "
-                   "of interest without --seeds/--jobs");
+               "--trace/--metrics apply to single runs; rerun the seed of "
+               "interest without --seeds/--jobs");
   }
   try {
     if (cell.campaign) {
@@ -394,14 +395,13 @@ CellRun run_cell(const char* argv0, const std::string& source,
     cell.result.seed_runs[key] = {run};
     cell.result.runs.emplace(key, run);
   } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s: %scannot run: %s\n", argv0, source.c_str(),
-                 error.what());
+    std::fprintf(stderr, "%s: cannot run: %s\n", argv0, error.what());
     std::exit(2);
   }
   return cell;
 }
 
-// --suite DIR: every DIR/*.json spec, in file-name order, through run_cell.
+// --suite DIR: every DIR/*.json spec and seed as one plan.
 int run_suite(const char* argv0, const std::string& dir,
               const std::string& format, bool heartbeat) {
   std::vector<std::filesystem::path> files;
@@ -415,17 +415,41 @@ int run_suite(const char* argv0, const std::string& dir,
   if (error) fail_usage(argv0, "--suite: cannot read " + dir);
   if (files.empty()) fail_usage(argv0, "--suite: no *.json specs in " + dir);
   std::sort(files.begin(), files.end());
-  // Resolve every spec before the first run, so a bad file fails in
-  // seconds, not after the specs before it have simulated.
-  std::vector<core::ResolvedScenario> cells;
+  // One row per spec and seed, every spec resolved before anything runs.
+  std::vector<std::string> names;
+  std::vector<core::ExperimentConfig> rows;
+  core::PairOptions options;
+  options.heartbeat = heartbeat;
+  options.label = "suite";
   for (const std::filesystem::path& file : files) {
     const std::string path = file.string();
-    cells.push_back(resolve(argv0, path + ": ", load_spec(argv0, path)));
-    if (cells.back().chaos_trials > 0) {
+    const core::ResolvedScenario resolved =
+        resolve(argv0, path + ": ", load_spec(argv0, path));
+    if (resolved.chaos_trials > 0) {
       fail_usage(argv0, path +
                             ": chaos campaigns do not run in a suite; use "
                             "--scenario");
     }
+    if (!resolved.trace_path.empty() || !resolved.metrics_path.empty()) {
+      fail_usage(argv0, path +
+                            ": a suite runs as one plan, so it writes no "
+                            "trace or metrics file; use --scenario");
+    }
+    options.jobs = std::max(options.jobs, resolved.jobs);
+    for (const std::uint64_t seed :
+         core::consecutive_seeds(resolved.config.seed, resolved.num_seeds)) {
+      names.push_back(file.filename().string());
+      rows.push_back(resolved.config);
+      rows.back().seed = seed;
+    }
+  }
+  core::PairResults results;
+  try {
+    results = core::run_pairs(core::plan_pairs(rows), options);
+  } catch (const std::invalid_argument& run_error) {
+    std::fprintf(stderr, "%s: %s: cannot run: %s\n", argv0, dir.c_str(),
+                 run_error.what());
+    return 2;
   }
 
   if (format == "csv") {
@@ -433,34 +457,26 @@ int run_suite(const char* argv0, const std::string& dir,
   }
   core::Table table({"spec", "seed", "chain", "fault", "score", "live",
                      "recovery(s)", "mean latency", "committed"});
-  for (std::size_t i = 0; i < files.size(); ++i) {
-    const std::string name = files[i].filename().string();
-    const core::ExperimentConfig& config = cells[i].config;
-    const CellRun cell =
-        run_cell(argv0, files[i].string() + ": ", cells[i], heartbeat);
-    const std::vector<core::SensitivityRun>& runs =
-        cell.result.seed_runs.at({config.chain, config.fault});
-    for (std::size_t k = 0; k < runs.size(); ++k) {
-      const core::SensitivityRun& run = runs[k];
-      const std::string seed = std::to_string(cell.result.seeds[k]);
-      if (format == "csv") {
-        std::printf("%s,%s,%s\n", name.c_str(), seed.c_str(),
-                    core::summary_csv_row(config.chain, config.fault, run)
-                        .c_str());
-        continue;
-      }
-      table.add_row({name, seed, core::to_string(config.chain),
-                     core::to_string(config.fault),
-                     core::format_score(run.score),
-                     run.altered.live_at_end ? "yes" : "NO",
-                     run.altered.recovery_seconds >= 0.0
-                         ? core::Table::num(run.altered.recovery_seconds, 1)
-                         : "-",
-                     core::Table::num(run.altered.mean_latency_s, 3) + "s",
-                     std::to_string(run.altered.committed) + "/" +
-                         std::to_string(run.altered.submitted)});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const core::ExperimentConfig& config = rows[i];
+    const core::SensitivityRun& run = results.pairs[i];
+    const std::string seed = std::to_string(config.seed);
+    if (format == "csv") {
+      std::printf("%s,%s,%s\n", names[i].c_str(), seed.c_str(),
+                  core::summary_csv_row(config.chain, config.fault, run)
+                      .c_str());
+      continue;
     }
-    std::fflush(stdout);
+    table.add_row({names[i], seed, core::to_string(config.chain),
+                   core::to_string(config.fault),
+                   core::format_score(run.score),
+                   run.altered.live_at_end ? "yes" : "NO",
+                   run.altered.recovery_seconds >= 0.0
+                       ? core::Table::num(run.altered.recovery_seconds, 1)
+                       : "-",
+                   core::Table::num(run.altered.mean_latency_s, 3) + "s",
+                   std::to_string(run.altered.committed) + "/" +
+                       std::to_string(run.altered.submitted)});
   }
   if (format != "csv") std::printf("%s", table.to_string().c_str());
   return 0;
@@ -880,7 +896,7 @@ int main(int argc, char** argv) {
     return result.violations() > 0 ? 1 : 0;
   }
 
-  const CellRun cell = run_cell(argv[0], "", resolved, heartbeat);
+  const CellRun cell = run_cell(argv[0], resolved, heartbeat);
   const core::CampaignResult& result = cell.result;
   if (cell.campaign) {
     if (format == "json") {

@@ -22,10 +22,9 @@ bool Mempool::add(const Transaction& tx) {
 
 bool Mempool::contains(TxId id) const { return by_id_.contains(id); }
 
-std::optional<Transaction> Mempool::get(TxId id) const {
+const Transaction* Mempool::get(TxId id) const {
   const Transaction* const* pooled = by_id_.find(id);
-  if (pooled == nullptr) return std::nullopt;
-  return **pooled;
+  return pooled == nullptr ? nullptr : *pooled;
 }
 
 std::vector<Transaction> Mempool::collect_ready(

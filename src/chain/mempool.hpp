@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "chain/tx_table.hpp"
@@ -37,7 +36,8 @@ class Mempool {
   bool add(const Transaction& tx);
 
   [[nodiscard]] bool contains(TxId id) const;
-  [[nodiscard]] std::optional<Transaction> get(TxId id) const;
+  /// The pooled transaction, or null; valid until the pool next changes.
+  [[nodiscard]] const Transaction* get(TxId id) const;
   [[nodiscard]] std::size_t size() const { return by_id_.size(); }
   [[nodiscard]] bool empty() const { return by_id_.empty(); }
 

@@ -466,12 +466,14 @@ void AvalancheNode::gossip_tick() {
     std::swap(gossip_queue_[index], gossip_queue_[unpicked - 1]);
     --unpicked;
     const chain::TxId id = gossip_queue_[unpicked];
-    const auto tx = mempool().get(id);
-    const bool done = !tx.has_value() || ledger().is_committed(id) ||
-                      (tx.has_value() && [&] {
-                        batch.push_back(*tx);
-                        return ++gossip_sent_[id] >= config_.gossip_max_sends;
-                      }());
+    // Commits remove their transactions from the pool, so a pooled
+    // transaction is never a committed one.
+    const chain::Transaction* tx = mempool().get(id);
+    bool done = tx == nullptr;
+    if (!done) {
+      batch.push_back(*tx);
+      done = ++gossip_sent_[id] >= config_.gossip_max_sends;
+    }
     if (done) {
       gossip_queue_[unpicked] = gossip_queue_.back();
       gossip_queue_.pop_back();

@@ -36,15 +36,13 @@ std::string sweep_json(const SeedSweepStats& stats) {
 
 }  // namespace
 
-std::vector<std::uint64_t> CampaignConfig::seed_list() const {
-  if (!seeds.empty()) return seeds;
-  std::vector<std::uint64_t> list;
-  const std::size_t count = std::max<std::size_t>(num_seeds, 1);
-  list.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    list.push_back(base.seed + static_cast<std::uint64_t>(i));
+std::vector<std::uint64_t> consecutive_seeds(std::uint64_t first,
+                                             std::size_t count) {
+  std::vector<std::uint64_t> seeds{first};
+  for (std::size_t i = 1; i < count; ++i) {
+    seeds.push_back(first + static_cast<std::uint64_t>(i));
   }
-  return list;
+  return seeds;
 }
 
 SeedSweepStats aggregate_seed_sweep(const std::vector<SensitivityRun>& runs) {
@@ -156,7 +154,8 @@ std::string CampaignResult::timing_table() const {
 
 CampaignResult run_campaign(const CampaignConfig& config) {
   const WallTimer campaign_timer;
-  const std::vector<std::uint64_t> seeds = config.seed_list();
+  const std::vector<std::uint64_t> seeds =
+      consecutive_seeds(config.base.seed, config.num_seeds);
 
   // Cells run concurrently; a sink/registry/recorder shared through base
   // would race. Per-cell tracing goes through stabl_cli's single-run path.
@@ -323,17 +322,6 @@ std::string mitigation_fault_text(const MitigationPair& pair) {
 
 }  // namespace
 
-std::vector<std::uint64_t> MitigationConfig::seed_list() const {
-  if (!seeds.empty()) return seeds;
-  std::vector<std::uint64_t> list;
-  const std::size_t count = std::max<std::size_t>(num_seeds, 1);
-  list.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    list.push_back(base.seed + static_cast<std::uint64_t>(i));
-  }
-  return list;
-}
-
 double MitigationPair::delta() const {
   if (unmitigated.score.invalid_baseline || mitigated.score.invalid_baseline) {
     return 0.0;
@@ -406,10 +394,10 @@ std::string MitigationResult::delta_csv() const {
 
 std::string MitigationResult::to_json() const {
   std::ostringstream out;
-  out << "{\"layers\":{\"nversion\":" << (layers.nversion ? "true" : "false")
-      << ",\"hedging\":" << (layers.hedging ? "true" : "false")
-      << ",\"scoring\":" << (layers.scoring ? "true" : "false")
-      << "},\"improvements\":" << improvements()
+  // Every mitigated twin runs the whole stack (mitigated_config).
+  out << "{\"layers\":{\"nversion\":true,\"hedging\":true,"
+         "\"scoring\":true},\"improvements\":"
+      << improvements()
       << ",\"regressions\":" << regressions() << ",\"pairs\":[";
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const MitigationPair& pair = pairs[i];
@@ -454,24 +442,20 @@ std::string MitigationResult::to_json() const {
   return out.str();
 }
 
-ExperimentConfig mitigated_config(const ExperimentConfig& cell,
-                                  const MitigationLayers& layers) {
+ExperimentConfig mitigated_config(const ExperimentConfig& cell) {
   ExperimentConfig mitigated = cell;
-  if (layers.nversion) {
-    // The derived chain's default_params are a strict superset of the
-    // base chain's, so any chain_params overrides carry over unchanged.
-    mitigated.chain = parse_chain_name("nversion_" + to_string(cell.chain));
-  }
-  if (layers.hedging || layers.scoring) {
-    mitigated.resilience.enabled = true;
-    if (layers.hedging) mitigated.resilience.hedge.enabled = true;
-    if (layers.scoring) mitigated.resilience.score.enabled = true;
-  }
+  // The derived chain's default_params are a strict superset of the base
+  // chain's, so any chain_params overrides carry over unchanged.
+  mitigated.chain = parse_chain_name("nversion_" + to_string(cell.chain));
+  mitigated.resilience.enabled = true;
+  mitigated.resilience.hedge.enabled = true;
+  mitigated.resilience.score.enabled = true;
   return mitigated;
 }
 
 MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
-  const std::vector<std::uint64_t> seeds = config.seed_list();
+  const std::vector<std::uint64_t> seeds =
+      consecutive_seeds(config.base.seed, config.num_seeds);
 
   struct PairCell {
     ChainKind chain;
@@ -522,7 +506,7 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
     unmitigated.chain = cell.chain;
     unmitigated.seed = cell.seed;
     if (cell.chaos) unmitigated.fault_schedule = cell.schedule;
-    ExperimentConfig mitigated = mitigated_config(unmitigated, config.layers);
+    ExperimentConfig mitigated = mitigated_config(unmitigated);
     twins.push_back(std::move(unmitigated));
     twins.push_back(std::move(mitigated));
   }
@@ -534,7 +518,6 @@ MitigationResult run_mitigation_campaign(const MitigationConfig& config) {
   PairResults runs = run_pairs(plan_pairs(twins), options);
 
   MitigationResult result;
-  result.layers = config.layers;
   result.experiments = runs.experiments;
   result.pairs.reserve(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {

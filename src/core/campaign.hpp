@@ -35,10 +35,8 @@ struct CampaignConfig {
   /// Template applied to every run: each cell is paper_cell(base, fault)
   /// with its chain and seed set.
   ExperimentConfig base{};
-  /// Explicit seeds to sweep per cell. When empty, `num_seeds` consecutive
-  /// seeds starting at base.seed are used (the default 1 keeps the single
-  /// point estimate of the paper).
-  std::vector<std::uint64_t> seeds{};
+  /// Seeds swept per cell: consecutive_seeds(base.seed, num_seeds). The
+  /// default 1 keeps the paper's single point estimate.
   std::size_t num_seeds = 1;
   /// Worker lanes for the (chain x fault x seed) grid, including the
   /// calling thread; 1 = serial. Output is byte-identical for any value.
@@ -47,11 +45,12 @@ struct CampaignConfig {
   /// runs (each distinct experiment once), runs/s and an ETA. Excluded
   /// from every deterministic serializer, like cell_wall_ms.
   bool heartbeat = false;
-
-  /// The effective seed list (explicit `seeds`, or `num_seeds` consecutive
-  /// seeds from base.seed).
-  [[nodiscard]] std::vector<std::uint64_t> seed_list() const;
 };
+
+/// `count` consecutive seeds starting at `first` (at least one): the seeds
+/// of a campaign, a mitigation study or a suite spec's sweep.
+std::vector<std::uint64_t> consecutive_seeds(std::uint64_t first,
+                                             std::size_t count);
 
 /// Per-cell aggregate over a seed sweep. The moment statistics cover the
 /// seeds with a *finite* score; seeds whose altered run lost liveness
@@ -154,24 +153,14 @@ std::vector<std::string> check_gate(const CampaignResult& result,
 // drawn from the adversarial chaos plan space — runs TWICE under the same
 // seed and the same fault schedule: once as-configured (unmitigated) and
 // once with the mitigation stack applied (the nversion_<chain> meta-chain,
-// hedged submissions, endpoint scoring — each layer independently
-// switchable). The paired delta `unmitigated − mitigated` quantifies how
-// much sensitivity each mitigation removes; a fault fully masked by the
-// stack (unmitigated infinite, mitigated finite) reports +inf. Both sides
-// go through core::run_pairs, so each side's fault-free twin runs once per
-// (chain, seed) however many faults score against it.
+// hedged submissions, endpoint scoring). The paired delta
+// `unmitigated − mitigated` quantifies how much sensitivity the stack
+// removes; a fault fully masked by it (unmitigated infinite, mitigated
+// finite) reports +inf. Both sides go through core::run_pairs, so each
+// side's fault-free twin runs once per (chain, seed) however many faults
+// score against it. The per-layer split of the stack is the
+// examples/scenarios/mitigation_layers suite.
 // ---------------------------------------------------------------------------
-
-/// Which mitigation layers the mitigated twin of each pair enables.
-struct MitigationLayers {
-  /// Swap the chain for its `nversion_<chain>` meta-chain (N-version
-  /// failover masking crash/hang faults at the node level).
-  bool nversion = true;
-  /// Resilient client with hedged submissions.
-  bool hedging = true;
-  /// Resilient client with EWMA endpoint scoring steering failover.
-  bool scoring = true;
-};
 
 struct MitigationConfig {
   /// Chains to evaluate (defaults to all five paper chains; the mitigated
@@ -184,7 +173,7 @@ struct MitigationConfig {
   /// Template applied to both twins of every pair: each fault pair is
   /// paper_cell(base, fault); a chaos pair replaces the fault schedule.
   ExperimentConfig base{};
-  std::vector<std::uint64_t> seeds{};
+  /// Seeds per fault pair: consecutive_seeds(base.seed, num_seeds).
   std::size_t num_seeds = 1;
   /// Adversarial chaos pairs per chain: schedule k of chain c is drawn
   /// from Rng(base.seed).derive(c * 1'000'003 + k) with
@@ -192,11 +181,8 @@ struct MitigationConfig {
   /// discipline — and both twins replay the identical schedule.
   std::size_t chaos_pairs = 0;
   unsigned jobs = 1;
-  MitigationLayers layers{};
   /// Wall-clock progress heartbeat on stderr (see CampaignConfig).
   bool heartbeat = false;
-
-  [[nodiscard]] std::vector<std::uint64_t> seed_list() const;
 };
 
 /// One matched baseline/mitigated cell pair: same chain family, same seed,
@@ -207,8 +193,7 @@ struct MitigationPair {
   bool chaos = false;
   std::size_t chaos_trial = 0;
   std::uint64_t seed = 0;
-  /// Name of the chain the mitigated twin actually ran
-  /// ("nversion_redbelly", or the base name when layers.nversion is off).
+  /// Name of the chain the mitigated twin ran ("nversion_redbelly").
   std::string mitigated_chain;
   /// The chaos schedule both twins replayed (empty for matrix rows).
   FaultSchedule schedule;
@@ -224,7 +209,6 @@ struct MitigationPair {
 };
 
 struct MitigationResult {
-  MitigationLayers layers;
   /// Matrix pairs first (chain-major, fault, seed order), then chaos pairs
   /// (chain-major, trial order) — deterministic for any jobs value.
   std::vector<MitigationPair> pairs;
@@ -242,11 +226,10 @@ struct MitigationResult {
 };
 
 /// The mitigated twin of a cell config: chain swapped for its nversion
-/// meta-chain and/or the resilient-client hedging/scoring knobs enabled,
-/// per `layers`. Everything else (seed, faults, workload, duration, chain
-/// parameter overrides) is carried verbatim.
-ExperimentConfig mitigated_config(const ExperimentConfig& cell,
-                                  const MitigationLayers& layers);
+/// meta-chain, resilient client with hedging and endpoint scoring on.
+/// Everything else (seed, faults, workload, duration, chain parameter
+/// overrides) is carried verbatim.
+ExperimentConfig mitigated_config(const ExperimentConfig& cell);
 
 /// Run the paired campaign across config.jobs threads. Deterministic:
 /// delta_csv()/to_json() are byte-identical for any jobs value.

@@ -84,6 +84,21 @@ std::vector<net::NodeId> default_targets(std::size_t f,
   return targets;
 }
 
+/// The lowest node id no plan of `schedule` targets; node 0 when the plans
+/// name every node.
+std::size_t unfaulted_node(const FaultSchedule& schedule, std::size_t n) {
+  std::vector<bool> faulted(n, false);
+  for (const FaultPlan& plan : schedule.plans) {
+    for (const net::NodeId id : plan.targets) {
+      if (id < n) faulted[id] = true;
+    }
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!faulted[k]) return k;
+  }
+  return 0;
+}
+
 }  // namespace
 
 const chain::Registry& chain_registry() {
@@ -219,10 +234,10 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   assert(nodes.size() == config.n);
   for (auto& node : nodes) node->start();
 
-  // Clients attach to nodes 0..clients-1, which are never faulted. All
-  // clients enrol in one batched arrival scheduler: clients sharing an
-  // entry node and workload shape ride a single aggregate arrival process
-  // instead of one timer chain each.
+  // Clients attach to nodes 0..clients-1, which the paper's default
+  // targets never fault. All clients enrol in one batched arrival
+  // scheduler: clients sharing an entry node and workload shape ride a
+  // single aggregate arrival process instead of one timer chain each.
   const std::size_t entry_nodes = std::min(config.clients, config.n);
   ArrivalScheduler arrivals(simulation, config.metrics);
   // The traffic model's shared state (the hot wallet's global nonce
@@ -302,7 +317,14 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   Observers observers(simulation, network, node_ptrs,
                       std::move(client_ids));
-  observers.arm(resolved_schedule(config));
+  const FaultSchedule schedule = resolved_schedule(config);
+  observers.arm(schedule);
+  // Chain-side readings (the height gauge, the harvested ledger results)
+  // come from the lowest-id node no plan targets: a crashed or cut-off
+  // node's ledger stops at its fault, and reading it would report a
+  // cluster that kept committing as dead.
+  const chain::BlockchainNode* observed =
+      node_ptrs[unfaulted_node(schedule, config.n)];
 
   // Chain-scoped services (e.g. the nversion failover monitors) run next
   // to the cluster, with ProcessIds continuing after the clients'. Most
@@ -331,8 +353,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
       }
       return depth;
     });
-    registry.add_gauge("height", [&node_ptrs] {
-      return static_cast<double>(node_ptrs.front()->ledger().height());
+    registry.add_gauge("height", [observed] {
+      return static_cast<double>(observed->ledger().height());
     });
     registry.add_gauge("pending_events", [&simulation] {
       return static_cast<double>(simulation.pending_events());
@@ -422,7 +444,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
                             client->latencies().begin(),
                             client->latencies().end());
   }
-  const chain::Ledger& ledger = nodes.front()->ledger();
+  const chain::Ledger& ledger = observed->ledger();
   result.blocks = ledger.height();
   ThroughputSeries series(ledger, config.duration);
   result.throughput = series.bins();

@@ -180,7 +180,10 @@ struct ExperimentResult {
   std::vector<double> latencies;  // client-observed, seconds
   std::uint64_t submitted = 0;
   std::uint64_t committed = 0;
-  std::vector<double> throughput;  // committed tx per 1 s bin (node 0)
+  /// Committed tx per 1 s bin, read like `blocks`, `live_at_end` and
+  /// `recovery_seconds` from the ledger of the lowest-id node that no
+  /// plan of resolved_schedule() targets (node 0 when every node is).
+  std::vector<double> throughput;
   /// Whether transactions were still being committed at the end of the
   /// run; false means the chain lost liveness (infinite sensitivity).
   bool live_at_end = false;

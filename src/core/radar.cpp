@@ -10,15 +10,6 @@ constexpr FaultType kDims[] = {FaultType::kCrash, FaultType::kTransient,
                                FaultType::kPartition,
                                FaultType::kSecureClient};
 
-constexpr FaultType kAttackDims[] = {FaultType::kEquivocate,
-                                     FaultType::kWithhold,
-                                     FaultType::kEclipse};
-
-std::string attack_half(const SensitivityScore& score,
-                        const std::string& verdict) {
-  return format_score(score) + " " + verdict;
-}
-
 std::string sweep_cell_text(const RadarSweepCell& cell) {
   if (cell.seeds == cell.liveness_losses) {
     return "inf x" + std::to_string(cell.liveness_losses);
@@ -54,11 +45,6 @@ void RadarSummary::record_sweep(ChainKind chain, FaultType dimension,
   sweeps_[{chain, dimension}] = cell;
 }
 
-void RadarSummary::record_attack(ChainKind chain, FaultType dimension,
-                                 RadarAttackCell cell) {
-  attacks_[{chain, dimension}] = std::move(cell);
-}
-
 void RadarSummary::record_attribution(ChainKind chain, FaultType dimension,
                                       RadarAttributionCell cell) {
   attributions_[{chain, dimension}] = std::move(cell);
@@ -76,12 +62,6 @@ const RadarSweepCell* RadarSummary::get_sweep(ChainKind chain,
   return it == sweeps_.end() ? nullptr : &it->second;
 }
 
-const RadarAttackCell* RadarSummary::get_attack(ChainKind chain,
-                                                FaultType dimension) const {
-  const auto it = attacks_.find({chain, dimension});
-  return it == attacks_.end() ? nullptr : &it->second;
-}
-
 const RadarAttributionCell* RadarSummary::get_attribution(
     ChainKind chain, FaultType dimension) const {
   const auto it = attributions_.find({chain, dimension});
@@ -95,26 +75,6 @@ std::string RadarSummary::to_table() const {
     for (const FaultType dim : kDims) {
       const SensitivityScore* score = get(chain, dim);
       row.push_back(score == nullptr ? "-" : format_score(*score));
-    }
-    table.add_row(std::move(row));
-  }
-  return table.to_string();
-}
-
-std::string RadarSummary::attack_table() const {
-  Table table({"chain", "equivocate (off | on)", "withhold (off | on)",
-               "eclipse (off | on)"});
-  for (const ChainKind chain : kAllChains) {
-    std::vector<std::string> row{to_string(chain)};
-    for (const FaultType dim : kAttackDims) {
-      const RadarAttackCell* cell = get_attack(chain, dim);
-      row.push_back(cell == nullptr
-                        ? "-"
-                        : attack_half(cell->undefended,
-                                      cell->undefended_verdict) +
-                              " | " +
-                              attack_half(cell->defended,
-                                          cell->defended_verdict));
     }
     table.add_row(std::move(row));
   }

@@ -26,19 +26,6 @@ struct RadarSweepCell {
   double stddev = 0.0;
 };
 
-/// One cell of the sensitivity-to-attack radar: the sensitivity score and
-/// oracle verdict of an adversarial dimension, with the misbehavior
-/// defense off (the attack surface) and on (what the defense contains).
-/// Verdict strings are short labels: "SAFETY" (a safety oracle fired —
-/// ledger fork or duplicate-height commit), "liveness", "loss" (expected
-/// loss) or "ok".
-struct RadarAttackCell {
-  SensitivityScore undefended{};
-  std::string undefended_verdict = "ok";
-  SensitivityScore defended{};
-  std::string defended_verdict = "ok";
-};
-
 /// One attributed cell as the radar stores it (a trimmed copy of an
 /// AttributionCell's headline, kept here so radar.hpp need not include
 /// attribution.hpp): the mean commit-latency delta of the pair and the
@@ -56,10 +43,6 @@ class RadarSummary {
   /// Record a cell's seed-sweep aggregate (shown by sweep_table()).
   void record_sweep(ChainKind chain, FaultType dimension,
                     const SeedSweepStats& stats);
-  /// Record an adversarial dimension's defended/undefended pair (shown by
-  /// attack_table()).
-  void record_attack(ChainKind chain, FaultType dimension,
-                     RadarAttackCell cell);
   /// Record a cell's sensitivity attribution (shown by
   /// attribution_table()).
   void record_attribution(ChainKind chain, FaultType dimension,
@@ -69,8 +52,6 @@ class RadarSummary {
                                             FaultType dimension) const;
   [[nodiscard]] const RadarSweepCell* get_sweep(ChainKind chain,
                                                 FaultType dimension) const;
-  [[nodiscard]] const RadarAttackCell* get_attack(ChainKind chain,
-                                                  FaultType dimension) const;
   [[nodiscard]] const RadarAttributionCell* get_attribution(
       ChainKind chain, FaultType dimension) const;
 
@@ -81,13 +62,6 @@ class RadarSummary {
   /// liveness-loss fraction when any seed died. Cells without a recorded
   /// sweep render as "-".
   [[nodiscard]] std::string sweep_table() const;
-  /// Sensitivity-to-attack table, one column per adversarial dimension
-  /// (equivocate, withhold, eclipse): "<score> <verdict> | <score>
-  /// <verdict>" per cell, defenses off | on. The paper's radar asks how
-  /// sensitive each chain is to failures; this companion asks how
-  /// sensitive it is to a Byzantine coalition, and whether the
-  /// misbehavior defense changes the answer.
-  [[nodiscard]] std::string attack_table() const;
   /// Attribution companion table: "+<delta>s <stage> <share>%" per cell —
   /// where the cell's latency degradation predominantly comes from
   /// (core/attribution.hpp). Cells without a recorded attribution render
@@ -97,7 +71,6 @@ class RadarSummary {
  private:
   std::map<std::pair<ChainKind, FaultType>, SensitivityScore> scores_;
   std::map<std::pair<ChainKind, FaultType>, RadarSweepCell> sweeps_;
-  std::map<std::pair<ChainKind, FaultType>, RadarAttackCell> attacks_;
   std::map<std::pair<ChainKind, FaultType>, RadarAttributionCell>
       attributions_;
 };

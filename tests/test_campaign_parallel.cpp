@@ -240,7 +240,7 @@ TEST(SharedRuns, MitigationPairsEqualTheirUnsharedRuns) {
     expected.emplace_back(
         to_json(ChainKind::kRedbelly, fault, unshared_pair(cell)),
         to_json(ChainKind::kRedbelly, fault,
-                unshared_pair(mitigated_config(cell, config.layers))));
+                unshared_pair(mitigated_config(cell))));
   }
   for (const unsigned jobs : {1u, 4u}) {
     config.jobs = jobs;
@@ -322,17 +322,6 @@ TEST(CampaignSweep, AggregatesAcrossSeeds) {
       result.get(ChainKind::kRedbelly, FaultType::kCrash);
   ASSERT_NE(rep, nullptr);
   EXPECT_EQ(rep->score.value, runs.front().score.value);
-}
-
-TEST(CampaignSweep, ExplicitSeedListWinsOverNumSeeds) {
-  CampaignConfig config;
-  config.seeds = {7, 99, 3};
-  config.num_seeds = 10;
-  EXPECT_EQ(config.seed_list(), (std::vector<std::uint64_t>{7, 99, 3}));
-  config.seeds.clear();
-  config.num_seeds = 3;
-  config.base.seed = 5;
-  EXPECT_EQ(config.seed_list(), (std::vector<std::uint64_t>{5, 6, 7}));
 }
 
 TEST(AggregateSeedSweep, StatsOverFiniteScoresOnly) {

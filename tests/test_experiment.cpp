@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/metrics.hpp"
+
 namespace stabl::core {
 namespace {
 
@@ -92,6 +96,39 @@ TEST(Experiment, ExplicitFaultCountOverridesDefault) {
   config.fault_schedule.add(plan);
   const ExperimentResult result = run_experiment(config);
   EXPECT_FALSE(result.live_at_end);
+}
+
+// Chain-side results come from a node no plan faults. With entry node 0
+// crashed, resilient clients fail over and the cluster keeps committing,
+// so the run is live and commits after the crash, and the height gauge
+// keeps rising.
+TEST(Experiment, CrashedEntryNodeLeavesTheRunLive) {
+  ExperimentConfig config;
+  config.chain = ChainKind::kRedbelly;
+  config.duration = sim::sec(60);
+  config.inject_at = sim::sec(20);
+  config.fault = FaultType::kCrash;
+  config.resilience.enabled = true;
+  FaultPlan plan = paper_plan(config);
+  plan.targets = {0};
+  config.fault_schedule.add(plan);
+  MetricsRegistry metrics;
+  config.metrics = &metrics;
+  const ExperimentResult result = run_experiment(config);
+  EXPECT_TRUE(result.live_at_end);
+  ASSERT_EQ(result.throughput.size(), 60u);
+  // Above half the offered 200 tx/s over the bins after the crash.
+  double committed_after = 0.0;
+  for (std::size_t bin = 21; bin < 60; ++bin) {
+    committed_after += result.throughput[bin];
+  }
+  EXPECT_GT(committed_after, 0.5 * 200.0 * 39.0);
+  const auto height = std::find_if(
+      metrics.series().begin(), metrics.series().end(),
+      [](const MetricSeries& series) { return series.name == "height"; });
+  ASSERT_NE(height, metrics.series().end());
+  ASSERT_EQ(height->samples.size(), 60u);
+  EXPECT_GT(height->samples.back(), height->samples[20]);
 }
 
 TEST(Experiment, SecureClientRunsFanout) {
