@@ -1,5 +1,5 @@
 // cli_common — argument-parsing helpers shared by the example programs
-// (stabl_cli, regression_gate, chaos_hunt).
+// (stabl_cli, regression_gate).
 //
 // Chain and fault names resolve through the registry
 // (core::parse_chain_name / core::fault_from_name), so every program gets
@@ -109,27 +109,6 @@ inline core::FaultType parse_fault_or_exit(const std::string& name,
   }
 }
 
-/// Comma-separated chain names ("redbelly,solana"); exits 2 on an unknown
-/// name or an empty list.
-inline std::vector<core::ChainKind> parse_chain_list_or_exit(
-    const std::string& list, const char* argv0,
-    const std::string& hint = {}) {
-  std::vector<core::ChainKind> chains;
-  for (std::size_t pos = 0; pos < list.size();) {
-    const std::size_t comma = list.find(',', pos);
-    const std::string name =
-        list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-    chains.push_back(parse_chain_or_exit(name, argv0, hint));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  if (chains.empty()) {
-    fail(argv0, "expected a comma-separated chain list", hint);
-  }
-  return chains;
-}
-
 /// Comma-separated node ids ("0,1"); exits 2 on an empty list or on a
 /// token that is not a node id. `flag` names the flag in the error message.
 inline std::vector<net::NodeId> parse_node_ids_or_exit(
@@ -175,7 +154,7 @@ inline bool ends_with(const std::string& text, const std::string& suffix) {
              0;
 }
 
-/// Stable 64-bit FNV-1a — repro sidecar file naming only (not a crypto
+/// Stable 64-bit FNV-1a — chaos repro file naming only (not a crypto
 /// hash).
 inline std::uint64_t fnv1a(const std::string& text) {
   std::uint64_t hash = 1469598103934665603ull;
@@ -186,7 +165,7 @@ inline std::uint64_t fnv1a(const std::string& text) {
   return hash;
 }
 
-/// Sidecar file stem for a chaos trial's repro artifacts:
+/// File stem of a chaos trial's repro files under --out:
 /// "chaos_<chain>_trial<K>_seed<S>_plan<H>" where H is the first 8 hex
 /// digits of fnv1a over the (minimized) schedule JSON. One campaign can
 /// produce several violations for the same chain, and reruns with

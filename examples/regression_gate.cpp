@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
   }
   std::printf("\n=== Fig. 7: sensitivity radar of the tested blockchains"
               " ===\n%s",
-              result.radar.to_table().c_str());
+              result.radar_table().c_str());
   std::printf("inf = liveness lost; trailing '*' = the altered environment"
               " improved latency\n");
 
@@ -251,12 +251,12 @@ int main(int argc, char** argv) {
   if (num_seeds > 1) {
     std::printf("\nseed sweep (mean+-stddev [min..max], inf = liveness "
                 "losses):\n%s",
-                result.radar.sweep_table().c_str());
+                result.sweep_table().c_str());
   }
   if (violations.empty()) {
     std::printf("\ngate PASSED: all %zu cells within bounds (worst of %ld "
                 "seed%s per cell)\n",
-                result.runs.size(), num_seeds, num_seeds == 1 ? "" : "s");
+                result.seed_runs.size(), num_seeds, num_seeds == 1 ? "" : "s");
     return 0;
   }
   std::printf("\ngate FAILED (%zu violations):\n", violations.size());

@@ -13,11 +13,13 @@
 //             [--throttle-bps BYTES] [--resilient] [--commit-timeout S]
 //             [--chain-param KEY=VALUE]...
 //             [--no-throttling] [--no-warmup-epochs] [--max-idle S]
-//             [--chaos N] [--shrink]
 //             [--hedge] [--hedge-percentile P] [--hedge-min S]
 //             [--hedge-max S] [--endpoint-scoring]
 //             [--trace FILE] [--metrics FILE]
-//   stabl_cli --scenario FILE [--format FMT] [--dump-scenario]
+//   stabl_cli --chaos N [--chain NAME] [--seed N] [--duration S] [--jobs N]
+//             [--shrink] [--chaos-adversarial] [--out DIR]
+//             [--chain-param misbehavior_defense=1] [--format text|json]
+//   stabl_cli --scenario FILE [--format FMT] [--out DIR] [--dump-scenario]
 //   stabl_cli --suite DIR [--format text|csv]
 //   stabl_cli [flags...] --dump-scenario
 //   stabl_cli --mitigation-study [--chain NAME] [--fault NAME] [--chaos N]
@@ -52,10 +54,20 @@
 // per-seed scores plus mean/min/max/stddev aggregates; --jobs N fans the
 // (seed) grid across N threads (output is identical for any jobs value).
 //
-// --chaos N runs N randomized multi-plan fault schedules against --chain
-// and audits each run with the invariant oracles; --shrink delta-debugs
-// every violating schedule to a minimal JSON repro. Deterministic in
-// (--chain, --seed) for any --jobs value.
+// --chaos N is the chaos hunt, the nightly CI job: N randomized
+// multi-plan fault schedules per chain, each run audited by the invariant
+// oracles. It hunts every paper chain; --chain (or a chaos spec loaded
+// with --scenario) narrows it to one. Trial k of a chain draws from a
+// stream derived from the chain's identity and k, so a chain's rows are
+// the same whichever chains are hunted, for any --jobs value. --shrink
+// delta-debugs every violating schedule to a minimal repro, printed
+// inline; --out DIR writes each violating trial's repro to
+// DIR/chaos_<chain>_trialK_seedS_planH.json and the Perfetto timeline of
+// its minimized run next to it as .trace.json (the experiment seed and a
+// hash of the schedule keep files from different hunts distinct). With
+// --chain-param misbehavior_defense=1 the defense's contract is at worst a
+// liveness cost (DESIGN.md §13), so only a safety finding exits 1;
+// liveness violations still print and still write repros.
 //
 // --mitigation-study runs every (chain, fault, seed) cell TWICE — once
 // as-configured and once with the mitigation stack (nversion_<chain>
@@ -75,14 +87,11 @@
 // with or without it). --heartbeat prints wall-clock progress to stderr.
 //
 // --trace FILE records the faulted run's sim-time timeline as Chrome /
-// Perfetto trace_event JSON (open at ui.perfetto.dev). In chaos mode the
-// file name is a base: each violating trial's minimized repro timeline is
-// written to FILE.chaos_<chain>_trialK_seedS_planH.trace.json — the
-// experiment seed and a hash of the minimized schedule keep sidecars from
-// different campaigns distinct. --metrics FILE samples the runtime
-// metrics registry each sim-second into CSV (when FILE ends in .csv) or
-// JSON. Tracing is observe-only: reports are byte-identical with it on or
-// off.
+// Perfetto trace_event JSON (open at ui.perfetto.dev); a chaos hunt
+// rejects it and writes its timelines under --out. --metrics FILE samples
+// the runtime metrics registry each sim-second into CSV (when FILE ends
+// in .csv) or JSON. Tracing is observe-only: reports are byte-identical
+// with it on or off.
 //
 // Examples:
 //   stabl_cli --chain solana --fault transient
@@ -90,6 +99,7 @@
 //   stabl_cli --chain redbelly --fault partition --max-idle 30 --format json
 //   stabl_cli --chain avalanche --chain-param cpu_target=0.8 --fault churn
 //   stabl_cli --chain aptos --chaos 10 --shrink --duration 120 --jobs 4
+//   stabl_cli --chaos 8 --duration 400 --jobs 4 --shrink --out chaos-repros
 //   # Fault engine v2: packet loss composed on top of the partition, with
 //   # resilient (timeout + failover + backoff) clients:
 //   stabl_cli --chain redbelly --fault partition --extra-fault loss
@@ -126,7 +136,8 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(
       out,
       "usage: %s [options]\n"
-      "       %s --scenario FILE [--format FMT] [--dump-scenario]\n"
+      "       %s --chaos N [--chain NAME] [--shrink] [--out DIR]\n"
+      "       %s --scenario FILE [--format FMT] [--out DIR] [--dump-scenario]\n"
       "       %s --suite DIR [--format text|csv]\n"
       "       %s --mitigation-study [--chain NAME] [--fault NAME]\n"
       "                             [--chaos N] [--seeds N] [--jobs N]\n"
@@ -171,12 +182,21 @@ void print_usage(std::FILE* out, const char* argv0) {
       "\n"
       "chaos mode:\n"
       "  --chaos N           run N randomized multi-plan fault schedules\n"
-      "                      against --chain, audited by the invariant\n"
-      "                      oracles; exit 1 when any oracle fires\n"
+      "                      against every paper chain (--chain narrows\n"
+      "                      the hunt to one), audited by the invariant\n"
+      "                      oracles; exit 1 when any oracle fires, or\n"
+      "                      with --chain-param misbehavior_defense=1\n"
+      "                      only when a safety oracle fires\n"
       "  --shrink            delta-debug every violating schedule to a\n"
       "                      minimal replayable JSON repro\n"
       "  --chaos-adversarial sample the adversarial plan space too\n"
       "                      (equivocate, withhold, eclipse schedules)\n"
+      "  --out DIR           write each violating trial's repro to\n"
+      "                      DIR/chaos_<chain>_trialK_seedS_planH.json\n"
+      "                      and its minimized run's Perfetto timeline\n"
+      "                      next to it as .trace.json (seed + plan hash\n"
+      "                      keep repros distinct); without it, shrunk\n"
+      "                      repros print inline\n"
       "\n"
       "mitigation study:\n"
       "  --mitigation-study  run every (chain, fault, seed) cell paired —\n"
@@ -201,10 +221,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "observability:\n"
       "  --trace FILE        write the faulted run's sim-time timeline as\n"
       "                      Perfetto trace_event JSON (ui.perfetto.dev);\n"
-      "                      in chaos mode, write each violating trial's\n"
-      "                      minimized repro timeline to\n"
-      "                      FILE.chaos_<chain>_trialK_seedS_planH.trace\n"
-      "                      .json (seed + plan hash keep repros distinct)\n"
+      "                      chaos repro timelines go to --out instead\n"
       "  --metrics FILE      sample runtime metrics (mempool depth,\n"
       "                      in-flight msgs, breaker state, ...) each sim\n"
       "                      second; CSV when FILE ends in .csv, else JSON\n"
@@ -261,7 +278,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       "  --list-workloads    list every arrival shape and traffic preset\n"
       "                      with a one-line description and exit 0\n"
       "  --help              print this help and exit 0\n",
-      argv0, argv0, argv0, argv0, argv0, argv0,
+      argv0, argv0, argv0, argv0, argv0, argv0, argv0,
       core::chain_registry().names_csv().c_str());
 }
 
@@ -393,7 +410,6 @@ CellRun run_cell(const char* argv0, const core::ResolvedScenario& resolved,
     const core::CampaignResult::CellKey key{config.chain, config.fault};
     cell.result.seeds = {config.seed};
     cell.result.seed_runs[key] = {run};
-    cell.result.runs.emplace(key, run);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "%s: cannot run: %s\n", argv0, error.what());
     std::exit(2);
@@ -489,6 +505,7 @@ int main(int argc, char** argv) {
   std::string format = "text";
   std::string scenario_path;
   std::string suite_dir;
+  std::string out_dir;
   bool dump_scenario = false;
   bool mitigation_study = false;
   bool attribution = false;
@@ -533,6 +550,9 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--dump-scenario") {
       dump_scenario = true;
+    } else if (arg == "--out") {
+      out_dir = value();
+      if (out_dir.empty()) fail_usage(argv[0], "--out needs a directory");
     } else if (arg == "--chain") {
       experiment_flag();
       chain_set = true;
@@ -694,7 +714,8 @@ int main(int argc, char** argv) {
   }
 
   if (!suite_dir.empty()) {
-    if (experiment_flags || !scenario_path.empty() || dump_scenario) {
+    if (experiment_flags || !scenario_path.empty() || dump_scenario ||
+        !out_dir.empty()) {
       fail_usage(argv[0],
                  "--suite runs complete scenario files; combine it only "
                  "with --format text|csv");
@@ -708,20 +729,39 @@ int main(int argc, char** argv) {
     if (experiment_flags) {
       fail_usage(argv[0],
                  "--scenario is a complete run description; combine it "
-                 "only with --format and --dump-scenario");
+                 "only with --format, --out and --dump-scenario");
     }
     spec = load_spec(argv[0], scenario_path);
   }
 
   const core::ResolvedScenario resolved = resolve(argv[0], "", spec);
-  if (dump_scenario) {
-    std::printf("%s\n", core::scenario_to_json(spec).c_str());
-    return 0;
-  }
   const core::ExperimentConfig& config = resolved.config;
   const long duration_s = static_cast<long>(spec.duration_s);
   const std::string& trace_path = resolved.trace_path;
   const std::string& metrics_path = resolved.metrics_path;
+  // The paired studies read --chaos N as their own knob; otherwise it is
+  // the chaos hunt.
+  const bool chaos_mode = resolved.chaos_trials > 0 && !mitigation_study &&
+                          !attribution;
+  if (chaos_mode && !trace_path.empty()) {
+    fail_usage(argv[0],
+               "--trace records one run; a chaos hunt writes each violating "
+               "trial's repro timeline under --out DIR");
+  }
+  if (!chaos_mode && !out_dir.empty()) {
+    fail_usage(argv[0],
+               "--out DIR holds a chaos hunt's repros; it needs --chaos N "
+               "without --mitigation-study or --attribution");
+  }
+  if (dump_scenario) {
+    if (chaos_mode && !chain_set && scenario_path.empty()) {
+      fail_usage(argv[0],
+                 "a scenario holds one chain, and this hunt covers every "
+                 "paper chain; add --chain to dump it");
+    }
+    std::printf("%s\n", core::scenario_to_json(spec).c_str());
+    return 0;
+  }
 
   if (attribution) {
     if (mitigation_study) {
@@ -775,18 +815,8 @@ int main(int argc, char** argv) {
       std::printf("sensitivity attribution: per-stage latency deltas, "
                   "faulted vs fault-free twin\n");
       std::printf("%s", report.to_table().c_str());
-      // The radar view: each cell's headline delta and dominant stage.
-      core::RadarSummary radar;
-      const auto& names = sim::stage_segment_names();
-      for (const core::AttributionCell& cell : report.cells) {
-        core::RadarAttributionCell summary;
-        summary.latency_delta_s = cell.measured_latency_delta_s;
-        summary.dominant_stage = names[cell.dominant_segment()];
-        summary.dominant_share = cell.dominant_share();
-        radar.record_attribution(cell.chain, cell.fault, summary);
-      }
       std::printf("\ndominant-stage radar:\n%s",
-                  radar.attribution_table().c_str());
+                  report.dominant_stage_table().c_str());
       if (!trace_path.empty() && !report.cells.empty()) {
         std::printf("trace: %s (first cell's faulted twin; open at "
                     "ui.perfetto.dev)\n",
@@ -836,16 +866,25 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (resolved.chaos_trials > 0) {
+  if (chaos_mode) {
     if (!metrics_path.empty()) {
       fail_usage(argv[0],
                  "--metrics applies to single runs, not --chaos campaigns");
     }
-    // Chaos path: randomized schedules + oracle audit on one chain. Every
-    // violating trial carries a Perfetto timeline of its minimized repro;
-    // --trace names the base file the timelines are written to.
+    // Chaos hunt: randomized schedules + oracle audit on every paper chain,
+    // or on the one chain --chain or the spec names.
     core::ChaosCampaignConfig chaos;
-    chaos.chains = {config.chain};
+    if (chain_set || !scenario_path.empty()) chaos.chains = {config.chain};
+    // The spec resolved its chain parameters against one chain; a hunt
+    // runs them on every hunted chain.
+    for (const core::ChainKind chain : chaos.chains) {
+      try {
+        (void)chain::merge_params(core::chain_traits(chain),
+                                  config.chain_params);
+      } catch (const std::invalid_argument& error) {
+        fail_usage(argv[0], error.what());
+      }
+    }
     chaos.trials_per_chain = resolved.chaos_trials;
     chaos.seed = config.seed;
     chaos.base = config;
@@ -853,45 +892,73 @@ int main(int argc, char** argv) {
       chaos.gen = core::adversarial_gen_for(chaos.base.duration);
     }
     chaos.shrink = resolved.shrink;
-    chaos.trace_repros = !trace_path.empty();
+    chaos.trace_repros = !out_dir.empty();
     chaos.jobs = resolved.jobs;
     chaos.heartbeat = heartbeat;
     const core::ChaosCampaignResult result = core::run_chaos_campaign(chaos);
+
+    // --out: each violating trial's repro (the minimized schedule when
+    // shrinking succeeded) and its timeline, at one stem per trial.
+    std::vector<std::string> stems(result.trials.size());
+    if (!out_dir.empty()) {
+      std::error_code ignored;  // a missing directory fails the write below
+      std::filesystem::create_directories(out_dir, ignored);
+      for (std::size_t i = 0; i < result.trials.size(); ++i) {
+        const core::ChaosTrial& trial = result.trials[i];
+        if (!trial.report.violated()) continue;
+        const std::string repro = core::schedule_to_json(
+            trial.shrunk.has_value() ? trial.shrunk->schedule
+                                     : trial.schedule);
+        stems[i] = out_dir + "/" +
+                   cli::chaos_repro_stem(core::to_string(trial.chain),
+                                         trial.trial, trial.experiment_seed,
+                                         repro);
+        cli::write_file_or_die(argv[0], stems[i] + ".json", repro + "\n");
+        cli::write_file_or_die(argv[0], stems[i] + ".trace.json",
+                               trial.repro_trace + "\n");
+      }
+    }
+
+    std::size_t safety = 0;
     for (const core::ChaosTrial& trial : result.trials) {
-      if (trial.repro_trace.empty()) continue;
-      // Seed + plan-hash suffix: several violations of the same chain (or
-      // reruns with other seeds) never overwrite each other's sidecars.
-      const core::FaultSchedule& repro = trial.shrunk.has_value()
-                                             ? trial.shrunk->schedule
-                                             : trial.schedule;
-      const std::string sidecar =
-          trace_path + "." +
-          cli::chaos_repro_stem(core::to_string(trial.chain), trial.trial,
-                                trial.experiment_seed,
-                                core::schedule_to_json(repro)) +
-          ".trace.json";
-      cli::write_file_or_die(argv[0], sidecar, trial.repro_trace);
-      std::fprintf(stderr, "trace: %s\n", sidecar.c_str());
+      if (trial.report.safety_violation() != nullptr) ++safety;
     }
     if (format == "json") {
       std::printf("%s\n", result.to_json().c_str());
     } else {
       std::printf("%s", result.summary_table().c_str());
-      std::printf("%zu/%zu violations, %zu expected losses\n",
-                  result.violations(), result.trials.size(),
+      std::printf("%zu/%zu violations (%zu safety), %zu expected losses\n",
+                  result.violations(), result.trials.size(), safety,
                   result.expected_losses());
-      for (const core::ChaosTrial& trial : result.trials) {
+      for (std::size_t i = 0; i < result.trials.size(); ++i) {
+        const core::ChaosTrial& trial = result.trials[i];
         if (trial.report.verdict == core::OracleVerdict::kPass) continue;
         std::printf("%s trial %zu: %s\n",
                     core::to_string(trial.chain).c_str(), trial.trial,
                     trial.report.summary().c_str());
-        if (trial.shrunk.has_value()) {
+        if (!stems[i].empty()) {
+          std::printf("  repro written to %s.json", stems[i].c_str());
+          if (trial.shrunk.has_value()) {
+            std::printf(" (shrunk %zu -> %zu plans in %zu runs)",
+                        trial.shrunk->initial_plans,
+                        trial.shrunk->schedule.plans.size(),
+                        trial.shrunk->runs);
+          }
+          std::printf("\n  trace written to %s.trace.json\n",
+                      stems[i].c_str());
+        } else if (trial.shrunk.has_value()) {
           std::printf("  repro: %s\n",
                       core::schedule_to_json(trial.shrunk->schedule).c_str());
         }
       }
       std::printf("\nwall-clock profile:\n%s",
                   result.timing_table().c_str());
+    }
+    // With the misbehavior defense on, a liveness violation is within its
+    // contract; only a safety finding is a regression.
+    const auto defense = config.chain_params.find("misbehavior_defense");
+    if (defense != config.chain_params.end() && defense->second != 0.0) {
+      return safety > 0 ? 1 : 0;
     }
     return result.violations() > 0 ? 1 : 0;
   }
@@ -934,7 +1001,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const core::SensitivityRun& run = result.runs.begin()->second;
+  const core::SensitivityRun& run = *result.get(config.chain, config.fault);
   if (format == "json") {
     std::printf("%s\n", core::to_json(config.chain, config.fault, run).c_str());
     return 0;

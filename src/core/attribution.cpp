@@ -1,9 +1,11 @@
 #include "core/attribution.hpp"
 
 #include <cmath>
+#include <optional>
 #include <sstream>
 #include <utility>
 
+#include "core/radar.hpp"
 #include "core/report.hpp"
 #include "core/sensitivity.hpp"
 
@@ -110,6 +112,18 @@ const AttributionCell* AttributionReport::get(ChainKind chain,
     if (cell.chain == chain && cell.fault == fault) return &cell;
   }
   return nullptr;
+}
+
+std::string AttributionReport::dominant_stage_table() const {
+  return radar_table(
+      [this](ChainKind chain, FaultType fault) -> std::optional<std::string> {
+        const AttributionCell* cell = get(chain, fault);
+        if (cell == nullptr) return std::nullopt;
+        const double delta = cell->measured_latency_delta_s;
+        return (delta >= 0 ? "+" : "") + Table::num(delta, 2) + "s " +
+               sim::stage_segment_names()[cell->dominant_segment()] + " " +
+               Table::num(100.0 * cell->dominant_share(), 0) + "%";
+      });
 }
 
 std::string AttributionReport::to_table() const {

@@ -131,6 +131,10 @@ struct AttributionReport {
   /// Human-readable per-cell table: one row per cell with the five
   /// segment deltas, the dominant stage and the loss delta.
   [[nodiscard]] std::string to_table() const;
+  /// The cells on the radar grid (core/radar.hpp): "+<delta>s <stage>
+  /// <share>%" per cell, where the cell's latency degradation
+  /// predominantly comes from.
+  [[nodiscard]] std::string dominant_stage_table() const;
   /// Machine-readable CSV: per-cell row with baseline/altered/delta mean
   /// per segment plus p50/p90/p99 of the altered run's segments, loss and
   /// hop columns. Byte-identical for any jobs value and trace on/off.

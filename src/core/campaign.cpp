@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 
 #include "core/chaos.hpp"
 #include "core/metrics.hpp"
+#include "core/radar.hpp"
 #include "core/report.hpp"
 #include "core/serialize.hpp"
 #include "sim/rng.hpp"
@@ -32,6 +34,22 @@ std::string sweep_json(const SeedSweepStats& stats) {
       << ",\"score_max\":" << Table::num(stats.max, 6)
       << ",\"score_stddev\":" << Table::num(stats.stddev, 6) << '}';
   return out.str();
+}
+
+std::string sweep_cell_text(const SeedSweepStats& stats) {
+  if (stats.seeds == stats.liveness_losses) {
+    return "inf x" + std::to_string(stats.liveness_losses);
+  }
+  // ASCII "+-" keeps the fixed-width table aligned (no multi-byte glyphs).
+  std::string text = Table::num(stats.mean, 2) + "+-" +
+                     Table::num(stats.stddev, 2) + " [" +
+                     Table::num(stats.min, 2) + ".." +
+                     Table::num(stats.max, 2) + "]";
+  if (stats.liveness_losses > 0) {
+    text += " inf:" + std::to_string(stats.liveness_losses) + "/" +
+            std::to_string(stats.seeds);
+  }
+  return text;
 }
 
 }  // namespace
@@ -81,8 +99,8 @@ SeedSweepStats aggregate_seed_sweep(const std::vector<SensitivityRun>& runs) {
 
 const SensitivityRun* CampaignResult::get(ChainKind chain,
                                           FaultType fault) const {
-  const auto it = runs.find({chain, fault});
-  return it == runs.end() ? nullptr : &it->second;
+  const auto it = seed_runs.find({chain, fault});
+  return it == seed_runs.end() ? nullptr : &it->second.front();
 }
 
 const SeedSweepStats* CampaignResult::sweep(ChainKind chain,
@@ -91,12 +109,31 @@ const SeedSweepStats* CampaignResult::sweep(ChainKind chain,
   return it == sweeps.end() ? nullptr : &it->second;
 }
 
+std::string CampaignResult::radar_table() const {
+  return core::radar_table(
+      [this](ChainKind chain, FaultType fault) -> std::optional<std::string> {
+        const SensitivityRun* run = get(chain, fault);
+        if (run == nullptr) return std::nullopt;
+        return format_score(run->score);
+      });
+}
+
+std::string CampaignResult::sweep_table() const {
+  return core::radar_table(
+      [this](ChainKind chain, FaultType fault) -> std::optional<std::string> {
+        const SeedSweepStats* stats = sweep(chain, fault);
+        if (stats == nullptr) return std::nullopt;
+        return sweep_cell_text(*stats);
+      });
+}
+
 std::string CampaignResult::to_csv() const {
   std::ostringstream out;
   out << summary_csv_header()
       << ",seeds,score_mean,score_min,score_max,score_stddev,"
          "liveness_losses\n";
-  for (const auto& [key, run] : runs) {
+  for (const auto& [key, cell_runs] : seed_runs) {
+    const SensitivityRun& run = cell_runs.front();
     out << summary_csv_row(key.first, key.second, run);
     const auto it = sweeps.find(key);
     out << ','
@@ -112,7 +149,8 @@ std::string CampaignResult::to_json() const {
   std::ostringstream out;
   out << '[';
   bool first = true;
-  for (const auto& [key, run] : runs) {
+  for (const auto& [key, cell_runs] : seed_runs) {
+    const SensitivityRun& run = cell_runs.front();
     if (!first) out << ',';
     first = false;
     std::string doc = stabl::core::to_json(key.first, key.second, run);
@@ -188,11 +226,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     result.cell_wall_ms[key].push_back(pairs.wall_ms[i]);
   }
   for (const auto& [key, cell_runs] : result.seed_runs) {
-    result.radar.record(key.first, key.second, cell_runs.front().score);
-    const SeedSweepStats stats = aggregate_seed_sweep(cell_runs);
-    result.radar.record_sweep(key.first, key.second, stats);
-    result.sweeps.emplace(key, stats);
-    result.runs.emplace(key, cell_runs.front());
+    result.sweeps.emplace(key, aggregate_seed_sweep(cell_runs));
   }
   result.total_wall_ms = campaign_timer.elapsed_ms();
   return result;
@@ -204,7 +238,7 @@ std::string sensitivity_panel(const CampaignConfig& config,
   Table table({"chain", "f", "t", "sensitivity", "benefits", "recovery(s)",
                "committed", "live"});
   for (const ChainKind chain : config.chains) {
-    const SensitivityRun& run = result.runs.at({chain, fault});
+    const SensitivityRun& run = result.seed_runs.at({chain, fault}).front();
     ExperimentConfig cell = paper_cell(config.base, fault);
     cell.chain = chain;
     const FaultSchedule schedule = resolved_schedule(cell);
@@ -233,7 +267,8 @@ std::vector<std::string> check_gate(const CampaignResult& result,
     }
     return false;
   };
-  for (const auto& [key, run] : result.runs) {
+  for (const auto& [key, cell_runs] : result.seed_runs) {
+    const SensitivityRun& run = cell_runs.front();
     const auto [chain, fault] = key;
     const std::string name =
         to_string(chain) + "/" + to_string(fault);

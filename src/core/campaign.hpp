@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/radar.hpp"
 
 namespace stabl::core {
 
@@ -74,12 +73,8 @@ SeedSweepStats aggregate_seed_sweep(const std::vector<SensitivityRun>& runs);
 struct CampaignResult {
   using CellKey = std::pair<ChainKind, FaultType>;
 
-  RadarSummary radar;
-  /// Representative run per cell: the FIRST seed of the sweep (the full
-  /// per-seed list is in `seed_runs`). Single-seed campaigns behave
-  /// exactly as before.
-  std::map<CellKey, SensitivityRun> runs;
-  /// Every seed's run per cell, in seed-list order.
+  /// Every seed's run per cell, in seed-list order. A cell's first run is
+  /// its representative run (get()).
   std::map<CellKey, std::vector<SensitivityRun>> seed_runs;
   /// Aggregate statistics per cell.
   std::map<CellKey, SeedSweepStats> sweeps;
@@ -100,10 +95,17 @@ struct CampaignResult {
   /// Harness information like cell_wall_ms; no serializer writes it.
   std::size_t experiments = 0;
 
+  /// The cell's representative run: its first seed's.
   [[nodiscard]] const SensitivityRun* get(ChainKind chain,
                                           FaultType fault) const;
   [[nodiscard]] const SeedSweepStats* sweep(ChainKind chain,
                                             FaultType fault) const;
+  /// Fig. 7 (core/radar.hpp): each cell's representative score, rendered
+  /// like the paper's figures ("inf", trailing '*' = benefits).
+  [[nodiscard]] std::string radar_table() const;
+  /// Seed-sweep radar: "mean+-sd [min..max]" per cell, with the
+  /// liveness-loss fraction when any seed died.
+  [[nodiscard]] std::string sweep_table() const;
   /// Full campaign as CSV (header + one row per cell; the representative
   /// first-seed columns are followed by the seed-sweep aggregate columns).
   [[nodiscard]] std::string to_csv() const;

@@ -49,7 +49,7 @@ void Observers::churn_kill(const FaultPlan& plan, sim::Time at) {
                    plan_args(plan));
   }
   for (const net::NodeId id : plan.targets) nodes_.at(id)->kill();
-  const sim::Time up_at = at + plan.churn_down;
+  const sim::Time up_at = std::min(at + plan.churn_down, plan.recover_at);
   sim_.schedule_at(up_at, [this, plan, up_at] {
     if (auto* trace = sim_.trace()) {
       trace->instant(kFaultsTrack, sim_.now(), "churn_up", "fault",
@@ -57,8 +57,9 @@ void Observers::churn_kill(const FaultPlan& plan, sim::Time at) {
     }
     for (const net::NodeId id : plan.targets) nodes_.at(id)->start();
     const sim::Time next_kill = up_at + plan.churn_up;
-    // Only start another cycle when it fully fits the fault window, so
-    // the targets are guaranteed back up at recover_at.
+    // Only start another cycle when it fully fits the fault window; with
+    // the first down period clipped above, the targets are guaranteed
+    // back up at recover_at.
     if (next_kill + plan.churn_down <= plan.recover_at) {
       sim_.schedule_at(next_kill, [this, plan, next_kill] {
         churn_kill(plan, next_kill);

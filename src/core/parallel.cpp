@@ -17,7 +17,8 @@ Heartbeat::Heartbeat(std::string label, std::size_t total, bool enabled)
       last_print_(start_) {}
 
 Heartbeat::~Heartbeat() {
-  if (!enabled_ || !printed_) return;
+  // tick() already printed the final line once every unit finished.
+  if (!enabled_ || !printed_ || done_ >= total_) return;
   std::lock_guard<std::mutex> lock(mutex_);
   print(done_, /*final_line=*/true);
 }

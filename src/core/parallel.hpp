@@ -38,7 +38,7 @@ class Heartbeat {
   /// campaign code can tick unconditionally and drivers decide once
   /// (typically `isatty(stderr)` or an explicit flag).
   Heartbeat(std::string label, std::size_t total, bool enabled);
-  ~Heartbeat();  ///< finishes the line if anything was printed
+  ~Heartbeat();  ///< finishes an unfinished run's line, if one printed
 
   Heartbeat(const Heartbeat&) = delete;
   Heartbeat& operator=(const Heartbeat&) = delete;

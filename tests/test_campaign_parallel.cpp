@@ -1,8 +1,9 @@
-// Tests for the parallel campaign engine: the work-stealing-free thread
-// pool, byte-identical serial-vs-parallel campaign output, runs shared
-// between pairs (each distinct experiment simulated once), seed-sweep
-// aggregation, worst-seed gating, and EventQueue bookkeeping when a
-// simulation is constructed per worker thread.
+// Tests for the parallel campaign engine: the progress heartbeat, the
+// work-stealing-free thread pool, byte-identical serial-vs-parallel
+// campaign output, runs shared between pairs (each distinct experiment
+// simulated once), seed-sweep aggregation, worst-seed gating, and
+// EventQueue bookkeeping when a simulation is constructed per worker
+// thread.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +26,23 @@
 
 namespace stabl::core {
 namespace {
+
+// ------------------------------------------------------------ heartbeat
+
+TEST(Heartbeat, PrintsTheFinalLineOnce) {
+  ::testing::internal::CaptureStderr();
+  {
+    Heartbeat heartbeat("probe", 3, /*enabled=*/true);
+    for (int i = 0; i < 3; ++i) heartbeat.tick();
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  std::size_t final_lines = 0;
+  for (std::size_t at = err.find("3/3 runs"); at != std::string::npos;
+       at = err.find("3/3 runs", at + 1)) {
+    ++final_lines;
+  }
+  EXPECT_EQ(final_lines, 1u) << err;
+}
 
 // ------------------------------------------------------------ thread pool
 
@@ -147,8 +165,8 @@ TEST(CampaignParallel, ParallelOutputByteIdenticalToSerial) {
   const CampaignResult b = run_campaign(parallel);
   EXPECT_EQ(a.to_csv(), b.to_csv());
   EXPECT_EQ(a.to_json(), b.to_json());
-  EXPECT_EQ(a.radar.to_table(), b.radar.to_table());
-  EXPECT_EQ(a.radar.sweep_table(), b.radar.sweep_table());
+  EXPECT_EQ(a.radar_table(), b.radar_table());
+  EXPECT_EQ(a.sweep_table(), b.sweep_table());
 }
 
 // ----------------------------------------------------------- shared runs
@@ -353,7 +371,7 @@ CampaignResult hand_built_result(double min_score, double max_score,
   SensitivityRun rep;
   rep.score.value = min_score;
   rep.altered.live_at_end = true;
-  result.runs.emplace(key, rep);
+  result.seed_runs[key] = {rep};
   SeedSweepStats stats;
   stats.seeds = 3;
   stats.finite = 3 - losses;

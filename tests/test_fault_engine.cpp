@@ -118,6 +118,25 @@ TEST_F(FaultValidationTest, RejectsBadKnobs) {
   EXPECT_NE(arm_error(plan).find("churn_down"), std::string::npos);
 }
 
+TEST_F(FaultValidationTest, ChurnTargetsAreBackUpAtRecoverAt) {
+  // A down period longer than the fault window ends at recover_at.
+  FaultPlan plan;
+  plan.type = FaultType::kChurn;
+  plan.targets = {2, 3};
+  plan.inject_at = sim::sec(3);
+  plan.recover_at = sim::sec(9);
+  plan.churn_down = sim::sec(15);
+  for (chain::BlockchainNode* node : pointers) node->start();
+  Observers observers(simulation, network, pointers);
+  observers.arm(plan);
+  simulation.run_until(sim::sec(4));
+  EXPECT_FALSE(nodes[2]->alive());
+  EXPECT_FALSE(nodes[3]->alive());
+  simulation.run_until(plan.recover_at);
+  EXPECT_TRUE(nodes[2]->alive());
+  EXPECT_TRUE(nodes[3]->alive());
+}
+
 TEST_F(FaultValidationTest, AcceptsUntargetedNoOpPlans) {
   FaultPlan plan;
   plan.type = FaultType::kNone;

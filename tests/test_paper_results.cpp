@@ -32,7 +32,7 @@ class Cells {
 
   [[nodiscard]] const SensitivityRun& operator()(ChainKind chain,
                                                  FaultType fault) const {
-    return result_.runs.at({chain, fault});
+    return result_.seed_runs.at({chain, fault}).front();
   }
 
  private:

@@ -2,8 +2,10 @@
 // the Fig. 7 radar aggregation.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "chain/ledger.hpp"
-#include "core/radar.hpp"
+#include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/throughput.hpp"
 
@@ -148,20 +150,24 @@ TEST(RenderEcdfPair, MarksBothCurves) {
 }
 
 TEST(Radar, StoresAndRendersScores) {
-  RadarSummary radar;
-  SensitivityScore score;
-  score.value = 12.34;
-  radar.record(ChainKind::kSolana, FaultType::kCrash, score);
-  SensitivityScore dead;
-  dead.infinite = true;
-  dead.value = std::numeric_limits<double>::infinity();
-  radar.record(ChainKind::kSolana, FaultType::kTransient, dead);
-  ASSERT_NE(radar.get(ChainKind::kSolana, FaultType::kCrash), nullptr);
-  EXPECT_EQ(radar.get(ChainKind::kSolana, FaultType::kPartition), nullptr);
-  const std::string table = radar.to_table();
+  CampaignResult result;
+  SensitivityRun run;
+  run.score.value = 12.34;
+  result.seed_runs[{ChainKind::kSolana, FaultType::kCrash}] = {run};
+  SensitivityRun dead;
+  dead.score.infinite = true;
+  dead.score.value = std::numeric_limits<double>::infinity();
+  result.seed_runs[{ChainKind::kSolana, FaultType::kTransient}] = {dead};
+  ASSERT_NE(result.get(ChainKind::kSolana, FaultType::kCrash), nullptr);
+  EXPECT_EQ(result.get(ChainKind::kSolana, FaultType::kPartition), nullptr);
+  const std::string table = result.radar_table();
   EXPECT_NE(table.find("12.34"), std::string::npos);
   EXPECT_NE(table.find("inf"), std::string::npos);
-  EXPECT_NE(table.find("solana"), std::string::npos);
+  const std::size_t row = table.find("solana");
+  ASSERT_NE(row, std::string::npos);
+  // The partition and byzantine cells were never run.
+  const std::string solana = table.substr(row, table.find('\n', row) - row);
+  EXPECT_NE(solana.find(" - "), std::string::npos) << table;
 }
 
 TEST(CsvJoin, JoinsWithCommas) {
