@@ -7,9 +7,9 @@
 //
 // After the benchmark pass the binary gates the overhead contract shared
 // by sim/trace.hpp and sim/lifecycle.hpp: each disabled path (one pointer
-// load + predicted branch) must cost < 2% over the same loop with no
-// instrumentation at all. Exit status 1 when either gate fails, so CI can
-// run this binary directly.
+// test + predicted branch, inline at the call site) must cost < 2% over the
+// same loop with no instrumentation at all. Exit status 1 when either gate
+// fails, so CI can run this binary directly.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -34,25 +34,32 @@ inline std::uint64_t work_step(std::uint64_t x) {
   return x;
 }
 
-// The exact shape instrumented call sites compile to. noinline so the
-// compiler cannot specialize the loop for a compile-time-null sink — that
-// would benchmark dead code, not the production pattern.
-__attribute__((noinline)) void emission_site(sim::TraceSink* sink,
-                                             std::uint64_t i) {
-  if (sink != nullptr) {
-    sink->instant(static_cast<std::int32_t>(i & 7),
-                  sim::Time(static_cast<std::int64_t>(i)), "tick", "bench");
-  }
+// The shape instrumented call sites compile to: the null test is inline in
+// the caller (`if (auto* trace = simulation().trace())`) and only an
+// enabled sink leaves the loop body. Every timed loop passes the pointer
+// through DoNotOptimize first, so the compiler must test it on every
+// iteration, as production code re-reads it from the Simulation, instead
+// of hoisting the test out of the loop and timing the uninstrumented body.
+__attribute__((noinline)) void emit_tick(sim::TraceSink* sink,
+                                         std::uint64_t i) {
+  sink->instant(static_cast<std::int32_t>(i & 7),
+                sim::Time(static_cast<std::int64_t>(i)), "tick", "bench");
+}
+
+inline void emission_site(sim::TraceSink* sink, std::uint64_t i) {
+  if (sink != nullptr) emit_tick(sink, i);
 }
 
 // The shape every lifecycle mark site compiles to (client, node,
 // consensus commit paths): null-guarded pointer, first-reach mark.
-__attribute__((noinline)) void lifecycle_site(sim::LifecycleRecorder* rec,
-                                              std::uint64_t i) {
-  if (rec != nullptr) {
-    rec->mark(i & 0xffff, sim::TxStage::kQueued,
-              sim::Time(static_cast<std::int64_t>(i)));
-  }
+__attribute__((noinline)) void mark_queued(sim::LifecycleRecorder* rec,
+                                           std::uint64_t i) {
+  rec->mark(i & 0xffff, sim::TxStage::kQueued,
+            sim::Time(static_cast<std::int64_t>(i)));
+}
+
+inline void lifecycle_site(sim::LifecycleRecorder* rec, std::uint64_t i) {
+  if (rec != nullptr) mark_queued(rec, i);
 }
 
 void uninstrumented(benchmark::State& state) {
@@ -66,11 +73,11 @@ void uninstrumented(benchmark::State& state) {
 
 void disabled(benchmark::State& state) {
   sim::TraceSink* sink = nullptr;
-  benchmark::DoNotOptimize(sink);
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   std::uint64_t i = 0;
   for (auto _ : state) {
     x = work_step(x);
+    benchmark::DoNotOptimize(sink);
     emission_site(sink, i++);
     benchmark::DoNotOptimize(x);
   }
@@ -118,11 +125,11 @@ void enabled_file(benchmark::State& state) {
 
 void disabled_lifecycle(benchmark::State& state) {
   sim::LifecycleRecorder* rec = nullptr;
-  benchmark::DoNotOptimize(rec);
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   std::uint64_t i = 0;
   for (auto _ : state) {
     x = work_step(x);
+    benchmark::DoNotOptimize(rec);
     lifecycle_site(rec, i++);
     benchmark::DoNotOptimize(x);
   }
@@ -157,6 +164,7 @@ double batch_seconds(sim::TraceSink* sink) {
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   for (std::uint64_t i = 0; i < kIters; ++i) {
     x = work_step(x);
+    benchmark::DoNotOptimize(sink);
     emission_site(sink, i);
     benchmark::DoNotOptimize(x);
   }
@@ -184,6 +192,7 @@ double lifecycle_batch_seconds(sim::LifecycleRecorder* rec) {
   std::uint64_t x = 0x9e3779b97f4a7c15ULL;
   for (std::uint64_t i = 0; i < kIters; ++i) {
     x = work_step(x);
+    benchmark::DoNotOptimize(rec);
     lifecycle_site(rec, i);
     benchmark::DoNotOptimize(x);
   }

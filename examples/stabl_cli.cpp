@@ -137,6 +137,7 @@ void print_usage(std::FILE* out, const char* argv0) {
       out,
       "usage: %s [options]\n"
       "       %s --chaos N [--chain NAME] [--shrink] [--out DIR]\n"
+      "                    [--format text|json]\n"
       "       %s --scenario FILE [--format FMT] [--out DIR] [--dump-scenario]\n"
       "       %s --suite DIR [--format text|csv]\n"
       "       %s --mitigation-study [--chain NAME] [--fault NAME]\n"
@@ -269,7 +270,9 @@ void print_usage(std::FILE* out, const char* argv0) {
       "                      (Redbelly MaxIdleTime, seconds)\n"
       "\n"
       "output:\n"
-      "  --format FMT        text|csv|json (default text)\n"
+      "  --format FMT        text|csv|json (default text); --suite prints\n"
+      "                      text or csv and --chaos text or json, and\n"
+      "                      the other format exits 2 before any run\n"
       "  --list-faults       list every fault type with a one-line\n"
       "                      description and exit 0\n"
       "  --list-chains       list every registered chain with its tier,\n"
@@ -747,6 +750,9 @@ int main(int argc, char** argv) {
     fail_usage(argv[0],
                "--trace records one run; a chaos hunt writes each violating "
                "trial's repro timeline under --out DIR");
+  }
+  if (chaos_mode && format == "csv") {
+    fail_usage(argv[0], "--chaos prints --format text or json");
   }
   if (!chaos_mode && !out_dir.empty()) {
     fail_usage(argv[0],

@@ -37,6 +37,7 @@ BlockchainNode::BlockchainNode(sim::Simulation& simulation,
               [this](net::NodeId peer) { on_peer_up(peer); },
               [this](net::NodeId peer) { on_peer_down(peer); }}),
       mempool_(),
+      ledger_(config.store),
       cpu_(*this, config.vcpus),
       rng_(simulation.rng().fork()),
       misbehavior_(config.misbehavior) {
@@ -84,7 +85,7 @@ void BlockchainNode::on_crash() {
 void BlockchainNode::rebuild_accounts() {
   accounts_.clear();
   for (const Block& block : ledger_.blocks()) {
-    for (const Transaction& tx : block.txs) {
+    for (const Transaction& tx : block.txs()) {
       const bool ok = accounts_.apply(tx);
       assert(ok && "ledger replay must succeed");
       (void)ok;
@@ -127,8 +128,8 @@ std::uint64_t BlockchainNode::result_hash(TxId id, const Block& block) {
   // The proposer field is deliberately excluded — chains like Redbelly
   // stamp it with the (replica-dependent) decider, while height, round and
   // content are what consensus agrees on.
-  return hash_combine(hash_combine(mix64(id), block.height),
-                      hash_combine(block.round, block.txs.size()));
+  return hash_combine(hash_combine(mix64(id), block.height()),
+                      hash_combine(block.round, block.txs().size()));
 }
 
 void BlockchainNode::handle_submit(const net::Envelope& envelope) {
@@ -147,14 +148,12 @@ void BlockchainNode::handle_submit(const net::Envelope& envelope) {
               96);
     return;
   }
-  if (ledger_.is_committed(tx.id)) {
+  if (const Block* block = ledger_.find(tx.id)) {
     // Already on chain: answer right away (the secure client's duplicate
     // submissions frequently land after the first copy committed).
-    const Block& block = ledger_.blocks()[ledger_.block_index(tx.id)];
     net_.send(node_id(), envelope.from,
               std::make_shared<const CommitNotifyPayload>(
-                  tx.id, ledger_.commit_time(tx.id),
-                  result_hash(tx.id, block)),
+                  tx.id, block->committed_at, result_hash(tx.id, *block)),
               96);
     return;
   }
@@ -208,33 +207,27 @@ const Block* BlockchainNode::commit_block(std::vector<Transaction> txs,
     applied.push_back(tx);
   }
   if (applied.empty() && !allow_empty) return nullptr;
-  Block block;
-  block.height = ledger_.height();
-  block.round = round;
-  block.proposer = proposer;
-  block.committed_at = now();
-  block.txs = std::move(applied);
-  const Block& stored = ledger_.append(std::move(block));
-  mempool_.remove(stored.txs);
+  const Block& stored =
+      ledger_.append(std::move(applied), round, proposer, now());
+  mempool_.remove(stored.txs());
   if (auto* lifecycle = simulation().lifecycle()) {
-    for (const Transaction& tx : stored.txs) {
+    for (const Transaction& tx : stored.txs()) {
       lifecycle->mark(tx.id, sim::TxStage::kCommitted, now());
     }
   }
   if (auto* trace = simulation().trace()) {
     trace->instant(static_cast<std::int32_t>(node_id()), now(), "commit",
                    "consensus",
-                   "\"height\":" + std::to_string(stored.height) +
+                   "\"height\":" + std::to_string(stored.height()) +
                        ",\"round\":" + std::to_string(stored.round) +
-                       ",\"txs\":" + std::to_string(stored.txs.size()));
+                       ",\"txs\":" + std::to_string(stored.txs().size()));
   }
   notify_watchers(stored);
-  if (commit_hook_) commit_hook_(stored);
   return &stored;
 }
 
 void BlockchainNode::notify_watchers(const Block& block) {
-  for (const Transaction& tx : block.txs) {
+  for (const Transaction& tx : block.txs()) {
     const auto it = watchers_.find(tx.id);
     if (it == watchers_.end()) continue;
     for (const net::NodeId client : it->second) {
@@ -270,7 +263,7 @@ void BlockchainNode::handle_sync_request(const net::Envelope& envelope) {
                            blocks.begin() + static_cast<std::ptrdiff_t>(last));
   std::uint32_t bytes = 0;
   for (const Block& b : chunk) {
-    bytes += 128 + static_cast<std::uint32_t>(b.txs.size()) * 128;
+    bytes += 128 + static_cast<std::uint32_t>(b.txs().size()) * 128;
   }
   send_to(envelope.from,
           std::make_shared<const SyncResponsePayload>(request.from_height,
@@ -283,15 +276,9 @@ void BlockchainNode::handle_sync_response(const net::Envelope& envelope) {
       static_cast<const SyncResponsePayload&>(*envelope.payload);
   if (response.from_height != ledger_.height()) return;  // stale chunk
   for (const Block& block : response.blocks) {
-    Block copy = block;
-    copy.height = ledger_.height();
-    // Re-stamp nothing: committed_at is the original decision time on the
-    // serving replica; our ledger requires monotone times, so clamp.
-    copy.committed_at = std::max(copy.committed_at,
-                                 ledger_.last_commit_time());
     std::vector<Transaction> applied;
-    applied.reserve(copy.txs.size());
-    for (const Transaction& tx : copy.txs) {
+    applied.reserve(block.txs().size());
+    for (const Transaction& tx : block.txs()) {
       // Already committed here: rejected by its passed nonce, as in
       // commit_block.
       if (!accounts_.apply(tx)) continue;
@@ -299,14 +286,19 @@ void BlockchainNode::handle_sync_response(const net::Envelope& envelope) {
     }
     // Keep the block even when all transactions were filtered (e.g. an
     // empty Redbelly round): heights must stay aligned with the peer.
-    copy.txs = std::move(applied);
-    const Block& stored = ledger_.append(std::move(copy));
-    mempool_.remove(stored.txs);
+    // When nothing was filtered and the server shares this store, the
+    // append lands on the server's own node. Re-stamp nothing:
+    // committed_at is the original decision time on the serving replica;
+    // our ledger requires monotone times, so clamp.
+    const Block& stored = ledger_.append(
+        std::move(applied), block.round, block.proposer,
+        std::max(block.committed_at, ledger_.last_commit_time()));
+    mempool_.remove(stored.txs());
     if (auto* lifecycle = simulation().lifecycle()) {
       // A replayed commit keeps its original first-reach kCommitted time
       // (mark is first-reach); the hop records that this replica only
       // learned it through recovery catch-up.
-      for (const Transaction& tx : stored.txs) {
+      for (const Transaction& tx : stored.txs()) {
         lifecycle->mark(tx.id, sim::TxStage::kCommitted, now());
         lifecycle->hop(tx.id, sim::TxHop::kRecoveryReplay);
       }
@@ -314,7 +306,6 @@ void BlockchainNode::handle_sync_response(const net::Envelope& envelope) {
     // A node serving clients must report commits no matter how it learned
     // them — also when it caught up through state sync.
     notify_watchers(stored);
-    if (commit_hook_) commit_hook_(stored);
   }
   if (auto* trace = simulation().trace()) {
     trace->instant(static_cast<std::int32_t>(node_id()), now(),

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <memory>
@@ -48,7 +47,9 @@ struct SyncRequestPayload final : net::Payload {
   std::uint64_t from_height;
 };
 
-/// State-sync: a chunk of blocks starting at `from_height`.
+/// State-sync: a chunk of the serving replica's blocks starting at
+/// `from_height`. The blocks point into the server's store; a receiver
+/// sharing that store appends the same nodes.
 struct SyncResponsePayload final : net::Payload {
   SyncResponsePayload(std::uint64_t height, std::vector<Block> chunk)
       : from_height(height), blocks(std::move(chunk)) {}
@@ -72,12 +73,14 @@ struct NodeConfig {
   /// Peer-misbehavior defense knobs (disabled by default; the registered
   /// "misbehavior_defense"/"misbehavior_ban" chain parameters set them).
   core::MisbehaviorConfig misbehavior{};
+  /// Decided-block store the node's ledger appends into. run_experiment
+  /// hands one store to every node of a cluster; with null the ledger
+  /// makes a private store at its first commit.
+  std::shared_ptr<BlockStore> store;
 };
 
 class BlockchainNode : public sim::Process, public net::Endpoint {
  public:
-  using CommitHook = std::function<void(const Block&)>;
-
   BlockchainNode(sim::Simulation& simulation, net::Network& network,
                  NodeConfig config);
 
@@ -91,9 +94,6 @@ class BlockchainNode : public sim::Process, public net::Endpoint {
   [[nodiscard]] const Mempool& mempool() const { return mempool_; }
   [[nodiscard]] const AccountState& accounts() const { return accounts_; }
   [[nodiscard]] const CpuModel& cpu() const { return cpu_; }
-
-  /// In-process observer of every locally committed block (tests/metrics).
-  void set_commit_hook(CommitHook hook) { commit_hook_ = std::move(hook); }
 
   /// Make this node's RPC endpoint Byzantine: it confirms every submitted
   /// transaction immediately with a fabricated result hash and never
@@ -246,7 +246,6 @@ class BlockchainNode : public sim::Process, public net::Endpoint {
   bool booted_ = false;
   // tx id -> client machines waiting for the commit notification. Volatile.
   std::unordered_map<TxId, std::vector<net::NodeId>> watchers_;
-  CommitHook commit_hook_;
   bool rpc_byzantine_ = false;
   // Adversarial compromise switches (fault engine, kEquivocate/kWithhold).
   bool equivocating_ = false;

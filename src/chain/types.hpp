@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "net/message.hpp"
 #include "sim/time.hpp"
@@ -57,17 +56,6 @@ struct Transaction {
   /// Client-side submission time, carried for bookkeeping in tests; the
   /// latency metric uses the client's own records, not this field.
   sim::Time submitted_at{0};
-};
-
-/// A committed block (or superblock, for Redbelly).
-struct Block {
-  std::uint64_t height = 0;
-  /// Protocol-level sequence the block was decided in (consensus round,
-  /// view, or slot — chain-specific).
-  std::uint64_t round = 0;
-  net::NodeId proposer = 0;
-  sim::Time committed_at{0};
-  std::vector<Transaction> txs;
 };
 
 /// Client -> node RPC: submit one transaction.

@@ -217,7 +217,8 @@ void SolanaNode::produce_block(std::uint64_t slot) {
 
 void SolanaNode::forward_pending(std::uint64_t slot) {
   // Take what is due for (re-)forwarding under the RPC retry pacing, drop
-  // what has committed since, and forward the rest in id order.
+  // what has committed since (its sender's nonce has passed it), and
+  // forward the rest in id order.
   std::vector<chain::TxId> due;
   while (!forward_due_.empty() && forward_due_.begin()->first <= now()) {
     due.push_back(forward_due_.begin()->second);
@@ -227,7 +228,7 @@ void SolanaNode::forward_pending(std::uint64_t slot) {
   std::vector<chain::Transaction> batch;
   for (const chain::TxId id : due) {
     const auto it = pending_forward_.find(id);
-    if (ledger().is_committed(id)) {
+    if (accounts().next_nonce(it->second.from) > it->second.nonce) {
       pending_forward_.erase(it);
       continue;
     }
@@ -381,7 +382,8 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
   if (const auto* forward = dynamic_cast<const ForwardPayload*>(payload)) {
     for (const chain::Transaction& tx : forward->txs) {
-      if (ledger().is_committed(tx.id)) continue;
+      // Stale, including committed: as in produce_block.
+      if (accounts().next_nonce(tx.from) > tx.nonce) continue;
       leader_buffer_.emplace(std::make_pair(tx.from, tx.nonce), tx);
     }
     return;

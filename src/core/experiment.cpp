@@ -30,13 +30,16 @@ chain::ChainParams merged_chain_params(const ExperimentConfig& config) {
   return chain::merge_params(chain_traits(config.chain), config.chain_params);
 }
 
+/// The cluster, every node's ledger appending into `store`: one copy of
+/// each decided block per cluster instead of one per replica.
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_chain_nodes(
     const ExperimentConfig& config, sim::Simulation& simulation,
-    net::Network& network) {
+    net::Network& network, std::shared_ptr<chain::BlockStore> store) {
   chain::NodeConfig node_config;
   node_config.n = config.n;
   node_config.vcpus = config.vcpus;
   node_config.network_seed = chain::mix64(config.seed);
+  node_config.store = std::move(store);
   const chain::ChainTraits& traits = chain_traits(config.chain);
   return traits.make_cluster(simulation, network, node_config,
                              merged_chain_params(config));
@@ -194,11 +197,11 @@ std::vector<ReplicaSnapshot> snapshot_replicas(
     snapshot.blocks.reserve(ledger.blocks().size());
     for (const chain::Block& block : ledger.blocks()) {
       BlockSummary summary;
-      summary.height = block.height;
+      summary.height = block.height();
       summary.round = block.round;
       summary.committed_at_s = sim::to_seconds(block.committed_at);
-      summary.txs.reserve(block.txs.size());
-      for (const chain::Transaction& tx : block.txs) {
+      summary.txs.reserve(block.txs().size());
+      for (const chain::Transaction& tx : block.txs()) {
         summary.txs.push_back(tx.id);
       }
       snapshot.blocks.push_back(std::move(summary));
@@ -230,7 +233,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // the queue its growth reallocations during the run.
   simulation.reserve_events(16 * config.n + 4 * config.clients + 64);
 
-  auto nodes = make_chain_nodes(config, simulation, network);
+  const auto store = std::make_shared<chain::BlockStore>();
+  auto nodes = make_chain_nodes(config, simulation, network, store);
   assert(nodes.size() == config.n);
   for (auto& node : nodes) node->start();
 
@@ -453,7 +457,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   // (45 s for the paper's 400 s runs; proportionally less for short runs).
   sim::Time last_tx_commit{0};
   for (const chain::Block& block : ledger.blocks()) {
-    if (!block.txs.empty()) last_tx_commit = block.committed_at;
+    if (!block.txs().empty()) last_tx_commit = block.committed_at;
   }
   const sim::Duration window = std::min(sim::sec(45), config.duration / 8);
   result.live_at_end =
@@ -473,6 +477,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     result.p99_latency_s = ecdf.quantile(0.99);
   }
   result.events = simulation.events_processed();
+  result.stored_blocks = store->size();
   result.net_stats = network.stats();
   for (const auto& node : nodes) {
     for (const auto& [key, value] : node->metrics()) {

@@ -195,6 +195,10 @@ struct ExperimentResult {
   double p99_latency_s = 0.0;
   std::uint64_t blocks = 0;
   std::uint64_t events = 0;
+  /// Distinct blocks the cluster's shared store holds at the end, every
+  /// fork branch included: the longest ledger's height when the replicas
+  /// agree. Not part of any report.
+  std::uint64_t stored_blocks = 0;
   net::NetworkStats net_stats{};
   /// Resubmission bookkeeping summed over all clients: lost vs. recovered
   /// vs. duplicate-committed transactions (all zeros for naive clients).

@@ -15,7 +15,7 @@ ThroughputSeries::ThroughputSeries(const chain::Ledger& ledger,
     const auto bin =
         static_cast<std::size_t>(sim::to_seconds(block.committed_at));
     if (bin >= bins_.size()) continue;
-    bins_[bin] += static_cast<double>(block.txs.size());
+    bins_[bin] += static_cast<double>(block.txs().size());
   }
 }
 

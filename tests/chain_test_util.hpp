@@ -68,9 +68,9 @@ struct Harness {
 /// (no conflicting commits); returns via gtest assertions.
 inline void expect_prefix_consistent(const Harness& harness) {
   const auto block_eq = [](const chain::Block& a, const chain::Block& b) {
-    if (a.txs.size() != b.txs.size()) return false;
-    for (std::size_t i = 0; i < a.txs.size(); ++i) {
-      if (a.txs[i].id != b.txs[i].id) return false;
+    if (a.txs().size() != b.txs().size()) return false;
+    for (std::size_t i = 0; i < a.txs().size(); ++i) {
+      if (a.txs()[i].id != b.txs()[i].id) return false;
     }
     return true;
   };
@@ -93,7 +93,7 @@ inline void expect_no_double_execution(const Harness& harness) {
   for (const auto& node : harness.nodes) {
     std::unordered_set<chain::TxId> seen;
     for (const chain::Block& block : node->ledger().blocks()) {
-      for (const chain::Transaction& tx : block.txs) {
+      for (const chain::Transaction& tx : block.txs()) {
         ASSERT_TRUE(seen.insert(tx.id).second)
             << "tx " << tx.id << " committed twice on node "
             << node->node_id();

@@ -67,7 +67,7 @@ TEST(Algorand, CrashedProposerResetsTiming) {
   harness.simulation.run_until(sim::sec(120));
   bool saw_empty_round = false;
   for (const auto& block : harness.nodes[0]->ledger().blocks()) {
-    if (block.txs.empty() &&
+    if (block.txs().empty() &&
         block.committed_at > sim::sec(60)) {
       saw_empty_round = true;
     }
@@ -115,7 +115,7 @@ TEST(Algorand, ProposerRotatesByRound) {
   harness.simulation.run_until(sim::sec(60));
   std::set<net::NodeId> proposers;
   for (const auto& block : harness.nodes[0]->ledger().blocks()) {
-    if (!block.txs.empty()) proposers.insert(block.proposer);
+    if (!block.txs().empty()) proposers.insert(block.proposer);
   }
   EXPECT_GE(proposers.size(), 5u) << "sortition spreads proposals";
 }
@@ -221,8 +221,8 @@ TEST(AlgorandTally, ReplacedVotesMoveCountsAndRoundsStartFromZero) {
   ASSERT_EQ(node.ledger().height(), 2u)
       << "round 1 never committed: round 0's counts leaked into it";
   EXPECT_EQ(node.ledger().blocks()[1].proposer, 2u);
-  ASSERT_EQ(node.ledger().blocks()[1].txs.size(), 1u);
-  EXPECT_EQ(node.ledger().blocks()[1].txs[0].id, 202u);
+  ASSERT_EQ(node.ledger().blocks()[1].txs().size(), 1u);
+  EXPECT_EQ(node.ledger().blocks()[1].txs()[0].id, 202u);
   EXPECT_EQ(node.current_round(), 2u);
 }
 

@@ -147,11 +147,7 @@ TEST(Mempool, KnownIdsAndGet) {
 
 TEST(Ledger, AppendsSequentially) {
   Ledger ledger;
-  Block block;
-  block.height = 0;
-  block.committed_at = sim::sec(1);
-  block.txs = {make_tx(1, 1, 0)};
-  ledger.append(block);
+  ledger.append({make_tx(1, 1, 0)}, /*round=*/0, /*proposer=*/0, sim::sec(1));
   EXPECT_EQ(ledger.height(), 1u);
   EXPECT_TRUE(ledger.is_committed(1));
   EXPECT_EQ(ledger.commit_time(1), sim::sec(1));
@@ -160,9 +156,7 @@ TEST(Ledger, AppendsSequentially) {
 
 TEST(Ledger, EmptyBlocksAllowed) {
   Ledger ledger;
-  Block block;
-  block.height = 0;
-  ledger.append(block);
+  ledger.append({}, 0, 0, sim::Time{0});
   EXPECT_EQ(ledger.height(), 1u);
   EXPECT_EQ(ledger.tx_count(), 0u);
 }
@@ -170,10 +164,7 @@ TEST(Ledger, EmptyBlocksAllowed) {
 TEST(Ledger, LastCommitTimeTracksTail) {
   Ledger ledger;
   EXPECT_EQ(ledger.last_commit_time(), sim::Time{0});
-  Block block;
-  block.height = 0;
-  block.committed_at = sim::sec(3);
-  ledger.append(block);
+  ledger.append({}, 0, 0, sim::sec(3));
   EXPECT_EQ(ledger.last_commit_time(), sim::sec(3));
 }
 

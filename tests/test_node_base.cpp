@@ -125,7 +125,7 @@ TEST_F(NodeBaseTest, CommitBlockFiltersDuplicatesAndNonceGaps) {
   const Block* block = nodes[0]->commit_block(
       {make_tx(1, 7, 0), make_tx(2, 7, 2), make_tx(3, 8, 0)}, 0);
   ASSERT_NE(block, nullptr);
-  EXPECT_EQ(block->txs.size(), 2u);  // nonce-2 tx filtered (gap)
+  EXPECT_EQ(block->txs().size(), 2u);  // nonce-2 tx filtered (gap)
   // Re-committing tx 1 is a no-op.
   const Block* again = nodes[0]->commit_block({make_tx(1, 7, 0)}, 0);
   EXPECT_EQ(again, nullptr);
@@ -261,8 +261,8 @@ TEST_F(NodeBaseTest, StateSyncSkipsTransactionsAlreadyCommittedHere) {
   simulation.run_until(simulation.now() + sim::ms(100));
   const auto& blocks = nodes[1]->ledger().blocks();
   ASSERT_EQ(blocks.size(), 2u);
-  ASSERT_EQ(blocks[1].txs.size(), 1u);
-  EXPECT_EQ(blocks[1].txs[0].id, 2u);
+  ASSERT_EQ(blocks[1].txs().size(), 1u);
+  EXPECT_EQ(blocks[1].txs()[0].id, 2u);
   EXPECT_EQ(nodes[1]->ledger().tx_count(), 2u);
   EXPECT_EQ(nodes[1]->ledger().block_index(1), 0u);
   EXPECT_EQ(nodes[1]->accounts().next_nonce(7), 2u);

@@ -94,7 +94,7 @@ TEST(RedbellyDetail, EmptyRoundsKeepHeightAlignedWithRound) {
   EXPECT_GT(node.ledger().height(), 10u);
   EXPECT_EQ(node.ledger().height(), node.current_round());
   for (const auto& block : node.ledger().blocks()) {
-    EXPECT_TRUE(block.txs.empty());
+    EXPECT_TRUE(block.txs().empty());
   }
 }
 
@@ -185,7 +185,7 @@ TEST(AvalancheDetail, HeightsNeverSkip) {
   const auto& blocks = harness.nodes[0]->ledger().blocks();
   ASSERT_FALSE(blocks.empty());
   for (std::size_t h = 0; h < blocks.size(); ++h) {
-    EXPECT_EQ(blocks[h].height, h);
+    EXPECT_EQ(blocks[h].height(), h);
     EXPECT_EQ(blocks[h].round, h) << "consensus height == ledger height";
   }
 }

@@ -58,7 +58,7 @@ TEST(Redbelly, SuperblockMergesAllProposals) {
   std::size_t multi_proposer_blocks = 0;
   for (const auto& block : harness.nodes[0]->ledger().blocks()) {
     std::set<chain::AccountId> senders;
-    for (const auto& tx : block.txs) senders.insert(tx.from);
+    for (const auto& tx : block.txs()) senders.insert(tx.from);
     if (senders.size() >= 4) ++multi_proposer_blocks;
   }
   EXPECT_GT(multi_proposer_blocks, 5u);
@@ -104,7 +104,7 @@ TEST(Redbelly, DeterministicAcrossRuns) {
     std::vector<std::uint64_t> summary;
     for (const auto& block : harness.nodes[0]->ledger().blocks()) {
       std::uint64_t h = block.round;
-      for (const auto& tx : block.txs) h = chain::hash_combine(h, tx.id);
+      for (const auto& tx : block.txs()) h = chain::hash_combine(h, tx.id);
       summary.push_back(h);
     }
     return summary;

@@ -15,18 +15,15 @@ namespace {
 chain::Ledger ledger_with_commits(
     const std::vector<std::pair<double, int>>& commits) {
   chain::Ledger ledger;
-  std::uint64_t height = 0;
   chain::TxId next_id = 1;
   for (const auto& [at_s, count] : commits) {
-    chain::Block block;
-    block.height = height++;
-    block.committed_at = sim::seconds(at_s);
+    std::vector<chain::Transaction> txs;
     for (int i = 0; i < count; ++i) {
       chain::Transaction tx;
       tx.id = next_id++;
-      block.txs.push_back(tx);
+      txs.push_back(tx);
     }
-    ledger.append(block);
+    ledger.append(std::move(txs), 0, 0, sim::seconds(at_s));
   }
   return ledger;
 }
