@@ -8,7 +8,7 @@
 //     Durations shrink with n so the 1000-node cell stays a bench, not a
 //     soak.
 //
-//  2. Queue churn — the pooled indexed EventQueue under the pattern of a
+//  2. Queue churn — the pooled EventQueue under the pattern of a
 //     faulted cell at scale: most timers are commit/round timeouts that
 //     are cancelled long before they fire. Informational events/s only.
 //
@@ -17,7 +17,7 @@
 // and RSS are recorded for information and never fail a run.
 //
 // Environment:
-//   STABL_SCALE_MAX_N     cap the sweep (CI smoke uses 64; default 1000)
+//   STABL_SCALE_MAX_N     cap the sweep (CI smoke uses 250; default 1000)
 //   STABL_SCALE_SKIP_CELLS=1  run only the queue layer (no gate possible)
 //   STABL_SCALE_JSON      write results as JSON to this path
 //   STABL_SCALE_BASELINE  compare against a checked-in JSON baseline and

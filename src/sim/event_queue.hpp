@@ -1,8 +1,11 @@
 // The simulator's time-ordered event queue.
 //
 // Scale redesign (DESIGN.md §14): events live in a slab of pooled slots
-// recycled through a free list, ordered by an indexed binary min-heap of
-// slot indices. Event actions are stored inline in the slot (small-buffer
+// recycled through a free list, ordered by a 4-ary min-heap whose entries
+// carry their own ordering key (time, and the schedule sequence number
+// packed with the slot index), so a sift compares entries without reading
+// the slab. A slot -> heap-position array beside the slab serves eager
+// cancel(). Event actions are stored inline in the slot (small-buffer
 // storage, no per-event heap allocation for the closures the simulator
 // actually schedules); oversized callables fall back to one heap block.
 // Cancellation is *eager*: the slot's heap entry is removed in O(log n)
@@ -13,10 +16,10 @@
 // harmless no-op to cancel, exactly like the previous design's lazy set.
 //
 // Ordering contract (unchanged): earliest time first, ties broken FIFO in
-// scheduling order via a monotone sequence number. The pop sequence is
-// byte-for-byte the sequence the previous priority_queue implementation
-// produced, which is what keeps every report byte-identical across the
-// swap.
+// scheduling order via a monotone sequence number. This is a strict total
+// order, so any correct priority queue over it pops the same sequence;
+// that is what keeps every report byte-identical across changes of the
+// heap's layout.
 #pragma once
 
 #include <cstddef>
@@ -139,6 +142,24 @@ class InlineAction {
   const Ops* ops_ = nullptr;
 };
 
+/// Low bits of a heap key that hold the event's slot index. The packed
+/// range bounds a queue to 2^24 (16,777,216) live events and 2^40
+/// schedules over its lifetime.
+inline constexpr unsigned kEventSlotBits = 24;
+
+/// Heap key of the event scheduled `seq`-th into slot `slot`: the
+/// sequence number above the slot index. Sequence numbers are unique, so
+/// keys order exactly as sequence numbers do. Throws std::length_error
+/// outside the packed range — in every build type, like pop() on an
+/// empty queue.
+inline std::uint64_t pack_event_key(std::uint64_t seq, std::uint64_t slot) {
+  if ((slot >> kEventSlotBits) != 0 || (seq >> (64 - kEventSlotBits)) != 0) {
+    throw std::length_error(
+        "EventQueue: more than 2^24 live events or 2^40 schedules");
+  }
+  return (seq << kEventSlotBits) | slot;
+}
+
 }  // namespace detail
 
 class EventQueue {
@@ -153,14 +174,15 @@ class EventQueue {
   /// this. No heap allocation when the callable fits the inline buffer.
   template <typename F>
   TimerId schedule(Time at, F&& action) {
+    // Checked before any state changes, so a throw leaves the queue as
+    // it was.
+    const std::uint64_t key = detail::pack_event_key(next_seq_, next_slot());
     const std::uint32_t slot = acquire_slot();
+    ++next_seq_;
     Slot& s = slots_[slot];
-    s.at = at;
-    s.seq = next_seq_++;
     s.action.emplace(std::forward<F>(action));
-    s.heap_pos = static_cast<std::uint32_t>(heap_.size());
-    heap_.push_back(slot);
-    sift_up(s.heap_pos);
+    heap_.emplace_back();
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1), make_entry(at, key));
     return make_id(slot, s.generation);
   }
 
@@ -185,8 +207,9 @@ class EventQueue {
   /// Number of live events currently scheduled.
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Pre-size the slab and heap for an expected peak of live events
-  /// (plumbed from cluster size so large cells skip growth reallocation).
+  /// Pre-size the slab, position array and heap for an expected peak of
+  /// live events (plumbed from cluster size so large cells skip growth
+  /// reallocation).
   void reserve(std::size_t events);
 
   /// Slots ever allocated (live + free-listed). Bounded by the peak live
@@ -195,43 +218,62 @@ class EventQueue {
   [[nodiscard]] std::size_t allocated_slots() const { return slots_.size(); }
 
  private:
+  // One heap entry: the event's whole ordering key, its slot index in the
+  // low bits, so a sift compares two integers and never reads the slab.
+  // Bits 127..64 hold `at` with its sign bit flipped, which makes unsigned
+  // order time order; bits 63..0 hold pack_event_key(seq, slot). A
+  // group of four siblings is 64 bytes, at most two cache lines.
+  using Entry = unsigned __int128;
+
   struct Slot {
-    Time at{0};
-    std::uint64_t seq = 0;
     std::uint32_t generation = 1;
-    std::uint32_t heap_pos = kNpos;   // kNpos while free
     std::uint32_t next_free = kNpos;  // free-list link while free
     detail::InlineAction action;
   };
 
   static constexpr std::uint32_t kNpos = ~std::uint32_t{0};
+  static constexpr std::uint32_t kArity = 4;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << detail::kEventSlotBits) - 1;
+  static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
 
   static TimerId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<TimerId>(slot + 1) << 32) | generation;
   }
 
+  static Entry make_entry(Time at, std::uint64_t key) {
+    return (Entry{static_cast<std::uint64_t>(at.count()) ^ kSignBit} << 64) |
+           key;
+  }
+  static Time time_of(Entry e) {
+    return Time{static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(e >> 64) ^ kSignBit)};
+  }
+  static std::uint32_t slot_of(Entry e) {
+    return static_cast<std::uint32_t>(e & kSlotMask);
+  }
+
+  /// The slot the next acquire_slot() returns.
+  [[nodiscard]] std::uint64_t next_slot() const {
+    return free_head_ != kNpos ? free_head_ : slots_.size();
+  }
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void remove_heap_entry(std::uint32_t pos);
-
-  [[nodiscard]] bool before(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  [[nodiscard]] std::uint32_t min_child(std::uint32_t first,
+                                        std::uint32_t n) const;
+  void sift_up(std::uint32_t pos, Entry moving);
+  void place(std::uint32_t pos, Entry e) {
+    heap_[pos] = e;
+    heap_pos_[slot_of(e)] = pos;
   }
 
-  void sift_up(std::uint32_t pos);
-  void sift_down(std::uint32_t pos);
-  void place(std::uint32_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    slots_[slot].heap_pos = pos;
-  }
-
-  std::vector<Slot> slots_;           // pooled entries, free-list recycled
-  std::vector<std::uint32_t> heap_;   // indexed binary min-heap of slots
+  std::vector<Slot> slots_;              // pooled actions, free-list recycled
+  std::vector<std::uint32_t> heap_pos_;  // slot -> index in heap_ while live
+  std::vector<Entry> heap_;              // 4-ary min-heap
   std::uint32_t free_head_ = kNpos;
-  std::uint64_t next_seq_ = 0;        // FIFO tie-break, monotone forever
+  std::uint64_t next_seq_ = 0;           // FIFO tie-break, monotone forever
 };
 
 }  // namespace stabl::sim

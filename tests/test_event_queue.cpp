@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -211,64 +214,181 @@ TEST(EventQueue, FifoTiesSurviveCancelChurn) {
 // observable semantics: a map ordered by (time, schedule order) — the old
 // (at, TimerId) heap order. A seeded interleaving of schedule, cancel and
 // pop must produce the exact pop sequence the old implementation gave.
-TEST(EventQueue, SeededChurnMatchesLegacyReferenceModel) {
+struct ChurnCase {
+  const char* name;
+  std::uint64_t seed;
+  int prefill;          // live events scheduled before the churn
+  int steps;            // interleaved schedule / cancel / pop steps
+  int instants;         // > 0: times fall on this many distinct instants
+  double drain_cancel;  // share of drain steps that cancel, not pop
+};
+
+void PrintTo(const ChurnCase& c, std::ostream* os) { *os << c.name; }
+
+class EventQueueChurn : public ::testing::TestWithParam<ChurnCase> {};
+
+TEST_P(EventQueueChurn, MatchesLegacyReferenceModel) {
+  const ChurnCase& c = GetParam();
+  using Key = std::pair<Time, std::uint64_t>;
   EventQueue queue;
-  std::map<std::pair<Time, std::uint64_t>, int> reference;
-  std::vector<std::pair<TimerId, std::pair<Time, std::uint64_t>>> live;
-  Rng rng(0xF00D);
-  std::uint64_t order_counter = 0;
-  int payload_counter = 0;
+  std::map<Key, int> reference;
+  // Per payload: its handle, its reference key and its index in `live`.
+  std::vector<TimerId> ids;
+  std::vector<Key> keys;
+  std::vector<std::size_t> live_index;
+  std::vector<int> live;  // payloads still scheduled
+  Rng rng(c.seed);
   int last_fired = -1;
   Time now{0};
-  for (int step = 0; step < 50000; ++step) {
+  const auto forget = [&](int payload) {
+    const std::size_t i = live_index[payload];
+    live[i] = live.back();
+    live_index[live[i]] = i;
+    live.pop_back();
+  };
+  const auto schedule = [&] {
+    const Time at =
+        c.instants > 0
+            ? now + ms(1 + static_cast<std::int64_t>(rng.uniform() *
+                                                     c.instants))
+            : now + Duration{1 + static_cast<std::int64_t>(rng.uniform() *
+                                                           1e4)};
+    const int payload = static_cast<int>(ids.size());
+    const Key key{at, ids.size()};
+    ids.push_back(
+        queue.schedule(at, [payload, &last_fired] { last_fired = payload; }));
+    keys.push_back(key);
+    live_index.push_back(live.size());
+    live.push_back(payload);
+    reference.emplace(key, payload);
+  };
+  const auto cancel_one = [&] {
+    const int payload = live[static_cast<std::size_t>(
+        rng.uniform() * static_cast<double>(live.size()))];
+    queue.cancel(ids[payload]);
+    reference.erase(keys[payload]);
+    forget(payload);
+  };
+  const auto pop_one = [&] {
+    Time at{};
+    TimerId fired = kInvalidTimer;
+    auto action = queue.pop(at, &fired);
+    action();
+    ASSERT_FALSE(reference.empty());
+    const auto expected = reference.begin();
+    ASSERT_EQ(at, expected->first.first) << "pop time diverged";
+    ASSERT_EQ(last_fired, expected->second) << "pop tie order diverged";
+    ASSERT_EQ(fired, ids[last_fired]) << "pop reported another handle";
+    reference.erase(expected);
+    forget(last_fired);
+    now = at;
+  };
+  for (int i = 0; i < c.prefill; ++i) schedule();
+  ASSERT_EQ(queue.size(), reference.size());
+  for (int step = 0; step < c.steps; ++step) {
     const double roll = rng.uniform();
     if (roll < 0.5 || queue.empty()) {
-      const Time at =
-          now + Duration{1 + static_cast<std::int64_t>(rng.uniform() * 1e4)};
-      const int payload = payload_counter++;
-      const std::uint64_t order = order_counter++;
-      const TimerId id =
-          queue.schedule(at, [payload, &last_fired] { last_fired = payload; });
-      reference.emplace(std::make_pair(at, order), payload);
-      live.emplace_back(id, std::make_pair(at, order));
-    } else if (roll < 0.65 && !live.empty()) {
-      const auto pick = static_cast<std::size_t>(
-          rng.uniform() * static_cast<double>(live.size()));
-      queue.cancel(live[pick].first);
-      reference.erase(live[pick].second);
-      live[pick] = live.back();
-      live.pop_back();
+      schedule();
+    } else if (roll < 0.65) {
+      cancel_one();
     } else {
-      Time at{};
-      TimerId fired = kInvalidTimer;
-      auto action = queue.pop(at, &fired);
-      action();
-      ASSERT_FALSE(reference.empty());
-      const auto expected = reference.begin();
-      ASSERT_EQ(at, expected->first.first) << "pop time diverged";
-      ASSERT_EQ(last_fired, expected->second) << "pop tie order diverged";
-      reference.erase(expected);
-      now = at;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i].first == fired) {
-          live[i] = live.back();
-          live.pop_back();
-          break;
-        }
-      }
+      ASSERT_NO_FATAL_FAILURE(pop_one());
     }
     ASSERT_EQ(queue.size(), reference.size());
   }
-  // Drain: remaining pops must come out in exact reference order,
+  // Drain: the remaining pops must come out in exact reference order,
   // including the payload of every same-instant tie.
   while (!queue.empty()) {
-    Time at{};
-    queue.pop(at)();
-    ASSERT_EQ(at, reference.begin()->first.first);
-    ASSERT_EQ(last_fired, reference.begin()->second);
-    reference.erase(reference.begin());
+    if (rng.uniform() < c.drain_cancel) {
+      cancel_one();
+    } else {
+      ASSERT_NO_FATAL_FAILURE(pop_one());
+    }
+    ASSERT_EQ(queue.size(), reference.size());
   }
   EXPECT_TRUE(reference.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeded, EventQueueChurn,
+    ::testing::Values(
+        // Times spread over 10 ms, a few hundred events live.
+        ChurnCase{"spread", 0xF00D, 0, 50000, 0, 0.0},
+        // 120 k live events on four instants: ties decide almost every
+        // comparison of a deep heap, and cancels hit every depth.
+        ChurnCase{"heavy_ties", 0xBEEF, 120000, 0, 4, 0.3}),
+    [](const ::testing::TestParamInfo<ChurnCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Heap shape: at every size across the 4-ary level boundaries (1, 5, 21
+// and 85 entries) the event at each heap position is cancelled in turn.
+// Every later cancel targets an entry that pops or earlier removals have
+// moved, so a stale position, a skipped child or an order that ignores
+// ties changes the drained sequence.
+TEST(EventQueue, CancelAtEveryHeapPositionAcrossLevelBoundaries) {
+  for (int n = 1; n <= 90; ++n) {
+    for (int victim = 0; victim < n; ++victim) {
+      EventQueue queue;
+      std::map<std::pair<Time, int>, int> reference;
+      std::vector<TimerId> ids;
+      int last_fired = -1;
+      for (int i = 0; i < n; ++i) {
+        // Descending runs with ties, so schedules sift up past parents.
+        const Time at = ms((n - i) % 7);
+        ids.push_back(queue.schedule(at, [i, &last_fired] { last_fired = i; }));
+        reference.emplace(std::make_pair(at, i), i);
+      }
+      const auto cancel = [&](int i) {
+        queue.cancel(ids[i]);
+        for (auto it = reference.begin(); it != reference.end(); ++it) {
+          if (it->second == i) {
+            reference.erase(it);
+            break;
+          }
+        }
+      };
+      cancel(victim);
+      // Drain, cancelling the next scheduled survivor after every pop.
+      int next_cancel = 0;
+      while (!queue.empty()) {
+        Time at{};
+        queue.pop(at)();
+        ASSERT_EQ(at, reference.begin()->first.first)
+            << "n=" << n << " victim=" << victim;
+        ASSERT_EQ(last_fired, reference.begin()->second)
+            << "n=" << n << " victim=" << victim;
+        reference.erase(reference.begin());
+        for (; next_cancel < n; ++next_cancel) {
+          const bool live = std::any_of(
+              reference.begin(), reference.end(),
+              [&](const auto& entry) { return entry.second == next_cancel; });
+          if (live) {
+            cancel(next_cancel++);
+            break;
+          }
+        }
+        ASSERT_EQ(queue.size(), reference.size());
+      }
+      EXPECT_TRUE(reference.empty());
+    }
+  }
+}
+
+// The heap key packs the slot index under the sequence number. Leaving
+// that range must fail loudly in every build type, never wrap into a key
+// that sorts out of schedule order.
+TEST(EventQueue, PackedKeyRangeThrowsInEveryBuildType) {
+  constexpr unsigned kSlotBits = detail::kEventSlotBits;
+  const std::uint64_t max_slot = (std::uint64_t{1} << kSlotBits) - 1;
+  const std::uint64_t max_seq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+  EXPECT_NO_THROW(static_cast<void>(detail::pack_event_key(max_seq, max_slot)));
+  EXPECT_THROW(static_cast<void>(detail::pack_event_key(max_seq + 1, 0)),
+               std::length_error);
+  EXPECT_THROW(static_cast<void>(detail::pack_event_key(0, max_slot + 1)),
+               std::length_error);
+  // Keys order as their sequence numbers do, whatever the slots.
+  EXPECT_LT(detail::pack_event_key(5, max_slot), detail::pack_event_key(6, 0));
 }
 
 TEST(EventQueue, ReserveDoesNotPerturbBehavior) {
