@@ -104,19 +104,16 @@ void BlockchainNode::deliver(const net::Envelope& envelope) {
     ++misbehavior_dropped_;
     return;
   }
-  if (const auto* submit =
-          dynamic_cast<const SubmitTxPayload*>(envelope.payload.get())) {
-    (void)submit;
+  const net::Payload* payload = envelope.payload.get();
+  if (net::payload_cast<SubmitTxPayload>(payload) != nullptr) {
     handle_submit(envelope);
     return;
   }
-  if (dynamic_cast<const SyncRequestPayload*>(envelope.payload.get()) !=
-      nullptr) {
+  if (net::payload_cast<SyncRequestPayload>(payload) != nullptr) {
     handle_sync_request(envelope);
     return;
   }
-  if (dynamic_cast<const SyncResponsePayload*>(envelope.payload.get()) !=
-      nullptr) {
+  if (net::payload_cast<SyncResponsePayload>(payload) != nullptr) {
     handle_sync_response(envelope);
     return;
   }

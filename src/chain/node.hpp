@@ -35,14 +35,14 @@
 namespace stabl::chain {
 
 /// A batch of transactions on the wire; chains reuse this for tx gossip.
-struct TxBatchPayload final : net::Payload {
+struct TxBatchPayload final : net::PayloadOf<TxBatchPayload> {
   explicit TxBatchPayload(std::vector<Transaction> batch)
       : txs(std::move(batch)) {}
   std::vector<Transaction> txs;
 };
 
 /// State-sync: "send me blocks from this height".
-struct SyncRequestPayload final : net::Payload {
+struct SyncRequestPayload final : net::PayloadOf<SyncRequestPayload> {
   explicit SyncRequestPayload(std::uint64_t height) : from_height(height) {}
   std::uint64_t from_height;
 };
@@ -50,7 +50,7 @@ struct SyncRequestPayload final : net::Payload {
 /// State-sync: a chunk of the serving replica's blocks starting at
 /// `from_height`. The blocks point into the server's store; a receiver
 /// sharing that store appends the same nodes.
-struct SyncResponsePayload final : net::Payload {
+struct SyncResponsePayload final : net::PayloadOf<SyncResponsePayload> {
   SyncResponsePayload(std::uint64_t height, std::vector<Block> chunk)
       : from_height(height), blocks(std::move(chunk)) {}
   std::uint64_t from_height;

@@ -59,7 +59,7 @@ struct Transaction {
 };
 
 /// Client -> node RPC: submit one transaction.
-struct SubmitTxPayload final : net::Payload {
+struct SubmitTxPayload final : net::PayloadOf<SubmitTxPayload> {
   explicit SubmitTxPayload(Transaction transaction) : tx(transaction) {}
   Transaction tx;
 };
@@ -70,7 +70,7 @@ struct SubmitTxPayload final : net::Payload {
 /// client talking to several replicas can check that their answers agree —
 /// the credence.js idea the paper recommends for Redbelly (§7): a response
 /// is only trusted once it is "replicated at at least f+1 nodes".
-struct CommitNotifyPayload final : net::Payload {
+struct CommitNotifyPayload final : net::PayloadOf<CommitNotifyPayload> {
   CommitNotifyPayload(TxId tx, sim::Time at, std::uint64_t hash)
       : id(tx), committed_at(at), result_hash(hash) {}
   TxId id;

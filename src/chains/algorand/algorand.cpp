@@ -11,7 +11,7 @@
 namespace stabl::algorand {
 namespace {
 
-struct ProposalPayload final : net::Payload {
+struct ProposalPayload final : net::PayloadOf<ProposalPayload> {
   ProposalPayload(std::uint64_t r, net::NodeId p,
                   std::vector<chain::Transaction> batch)
       : round(r), proposer(p), txs(std::move(batch)) {}
@@ -22,7 +22,7 @@ struct ProposalPayload final : net::Payload {
 
 enum class VoteStep : std::uint8_t { kSoft, kCert };
 
-struct VotePayload final : net::Payload {
+struct VotePayload final : net::PayloadOf<VotePayload> {
   VotePayload(std::uint64_t r, VoteStep s, net::NodeId voter_id,
               net::NodeId v)
       : round(r), step(s), voter(voter_id), value(v) {}
@@ -289,7 +289,7 @@ void AlgorandNode::commit_value(net::NodeId value) {
 
 void AlgorandNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
-  if (const auto* batch = dynamic_cast<const chain::TxBatchPayload*>(payload)) {
+  if (const auto* batch = net::payload_cast<chain::TxBatchPayload>(payload)) {
     // `fresh` is filled only once a transaction turns out stale: a batch
     // that is fresh throughout is relayed as the payload it arrived in.
     std::vector<chain::Transaction> fresh;
@@ -321,7 +321,7 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
+  if (const auto* proposal = net::payload_cast<ProposalPayload>(payload)) {
     relay_forward(envelope,
                   chain::hash_combine(chain::hash_combine(proposal->round,
                                                           proposal->proposer),
@@ -352,7 +352,7 @@ void AlgorandNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload)) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload)) {
     relay_forward(envelope,
                   chain::hash_combine(
                       chain::hash_combine(vote->round, vote->voter),
@@ -406,7 +406,7 @@ void AlgorandNode::relay_forward(const net::Envelope& envelope,
 net::PayloadPtr AlgorandNode::equivocate_payload(
     const net::PayloadPtr& payload) {
   if (const auto* proposal =
-          dynamic_cast<const ProposalPayload*>(payload.get())) {
+          net::payload_cast<ProposalPayload>(payload.get())) {
     if (proposal->txs.size() < 2) return nullptr;
     // Double-propose: a conflicting batch under the same (round, proposer).
     std::vector<chain::Transaction> twin(proposal->txs.rbegin(),
@@ -415,7 +415,7 @@ net::PayloadPtr AlgorandNode::equivocate_payload(
     return std::make_shared<const ProposalPayload>(
         proposal->round, proposal->proposer, std::move(twin));
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload.get())) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload.get())) {
     if (vote->value == kEmptyValue) return nullptr;
     // Double-vote: endorse the proposal to one half of the cluster and the
     // empty value to the other, splitting the quorum count.
@@ -428,7 +428,7 @@ net::PayloadPtr AlgorandNode::equivocate_payload(
 bool AlgorandNode::withholdable(const net::Payload& payload) const {
   // Only proposals: votes are re-gossiped every rebroadcast tick anyway,
   // so withholding them replays payloads the protocol already replays.
-  return dynamic_cast<const ProposalPayload*>(&payload) != nullptr;
+  return net::payload_cast<ProposalPayload>(&payload) != nullptr;
 }
 
 void AlgorandNode::on_transaction(const chain::Transaction& tx) {

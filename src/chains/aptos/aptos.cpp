@@ -10,7 +10,7 @@
 namespace stabl::aptos {
 namespace {
 
-struct ProposalPayload final : net::Payload {
+struct ProposalPayload final : net::PayloadOf<ProposalPayload> {
   ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
                   std::vector<chain::Transaction> batch)
       : round(r), leader(l), parent_round(parent), txs(std::move(batch)) {}
@@ -32,7 +32,7 @@ std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   return digest;
 }
 
-struct VotePayload final : net::Payload {
+struct VotePayload final : net::PayloadOf<VotePayload> {
   VotePayload(std::uint64_t r, net::NodeId l, std::uint64_t d)
       : round(r), leader(l), digest(d) {}
   std::uint64_t round;
@@ -42,7 +42,7 @@ struct VotePayload final : net::Payload {
   std::uint64_t digest;
 };
 
-struct TimeoutPayload final : net::Payload {
+struct TimeoutPayload final : net::PayloadOf<TimeoutPayload> {
   explicit TimeoutPayload(std::uint64_t r) : round(r) {}
   std::uint64_t round;
 };
@@ -52,7 +52,7 @@ struct TimeoutPayload final : net::Payload {
 /// timed out pull the committed block before a sibling round can form a
 /// conflicting quorum. Quiet rounds never send one, so healthy runs are
 /// unchanged.
-struct CommitCertPayload final : net::Payload {
+struct CommitCertPayload final : net::PayloadOf<CommitCertPayload> {
   explicit CommitCertPayload(std::uint64_t r) : round(r) {}
   std::uint64_t round;
 };
@@ -339,8 +339,7 @@ void AptosNode::jump_to_round(std::uint64_t round, net::NodeId peer_hint) {
 
 void AptosNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
-  if (const auto* batch =
-          dynamic_cast<const chain::TxBatchPayload*>(payload)) {
+  if (const auto* batch = net::payload_cast<chain::TxBatchPayload>(payload)) {
     for (const chain::Transaction& tx : batch->txs) {
       if (!pool_transaction(tx)) {
         // Block-STM speculatively dispatches the duplicate and aborts with
@@ -352,7 +351,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
+  if (const auto* proposal = net::payload_cast<ProposalPayload>(payload)) {
     if (proposal->round < round_) return;
     if (proposal->round > round_) {
       jump_to_round(proposal->round, envelope.from);
@@ -380,7 +379,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     try_commit();
     return;
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload)) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload)) {
     if (vote->round < round_) return;
     if (vote->round > round_) {
       jump_to_round(vote->round, envelope.from);
@@ -396,7 +395,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     try_commit();
     return;
   }
-  if (const auto* cert = dynamic_cast<const CommitCertPayload*>(payload)) {
+  if (const auto* cert = net::payload_cast<CommitCertPayload>(payload)) {
     // The sender committed this round; if our tip is behind it we missed
     // that block and must repair before voting on anything else.
     if (static_cast<std::int64_t>(cert->round) > tip_round()) {
@@ -404,7 +403,7 @@ void AptosNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* timeout = dynamic_cast<const TimeoutPayload*>(payload)) {
+  if (const auto* timeout = net::payload_cast<TimeoutPayload>(payload)) {
     if (timeout->round < round_) return;
     if (timeout->round > round_) {
       jump_to_round(timeout->round, envelope.from);
@@ -429,7 +428,7 @@ void AptosNode::on_synced() {
 
 net::PayloadPtr AptosNode::equivocate_payload(const net::PayloadPtr& payload) {
   if (const auto* proposal =
-          dynamic_cast<const ProposalPayload*>(payload.get())) {
+          net::payload_cast<ProposalPayload>(payload.get())) {
     if (proposal->txs.size() < 2) return nullptr;  // nothing to conflict on
     // Conflicting variant: same round/leader/parent-QC linkage, different
     // committed sequence (batch reversed minus its last transaction).
@@ -440,7 +439,7 @@ net::PayloadPtr AptosNode::equivocate_payload(const net::PayloadPtr& payload) {
         proposal->round, proposal->leader, proposal->parent_round,
         std::move(txs));
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload.get())) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload.get())) {
     // Double-vote: same round and leader, conflicting content claim.
     return std::make_shared<const VotePayload>(
         vote->round, vote->leader, vote->digest ^ 0x0BAD'BEEFull);
@@ -449,8 +448,8 @@ net::PayloadPtr AptosNode::equivocate_payload(const net::PayloadPtr& payload) {
 }
 
 bool AptosNode::withholdable(const net::Payload& payload) const {
-  return dynamic_cast<const ProposalPayload*>(&payload) != nullptr ||
-         dynamic_cast<const VotePayload*>(&payload) != nullptr;
+  return net::payload_cast<ProposalPayload>(&payload) != nullptr ||
+         net::payload_cast<VotePayload>(&payload) != nullptr;
 }
 
 void AptosNode::accept_transaction(const chain::Transaction& tx) {

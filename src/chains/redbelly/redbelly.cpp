@@ -10,7 +10,7 @@
 namespace stabl::redbelly {
 namespace {
 
-struct ProposalPayload final : net::Payload {
+struct ProposalPayload final : net::PayloadOf<ProposalPayload> {
   ProposalPayload(std::uint64_t r, net::NodeId p,
                   std::vector<chain::Transaction> batch)
       : round(r), proposer(p), txs(std::move(batch)) {}
@@ -19,14 +19,14 @@ struct ProposalPayload final : net::Payload {
   std::vector<chain::Transaction> txs;
 };
 
-struct EchoPayload final : net::Payload {
+struct EchoPayload final : net::PayloadOf<EchoPayload> {
   EchoPayload(std::uint64_t r, std::vector<net::NodeId> s)
       : round(r), seen(std::move(s)) {}
   std::uint64_t round;
   std::vector<net::NodeId> seen;
 };
 
-struct CommitPayload final : net::Payload {
+struct CommitPayload final : net::PayloadOf<CommitPayload> {
   CommitPayload(std::uint64_t r, net::NodeId d,
                 std::vector<chain::Transaction> batch)
       : round(r), decider(d), txs(std::move(batch)) {}
@@ -36,7 +36,7 @@ struct CommitPayload final : net::Payload {
 };
 
 /// Lightweight "where are you" exchanged when a peer comes (back) up.
-struct StatusPayload final : net::Payload {
+struct StatusPayload final : net::PayloadOf<StatusPayload> {
   explicit StatusPayload(std::uint64_t r) : round(r) {}
   std::uint64_t round;
 };
@@ -228,7 +228,7 @@ void RedbellyNode::adopt_decision(
 
 void RedbellyNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
-  if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
+  if (const auto* proposal = net::payload_cast<ProposalPayload>(payload)) {
     if (proposal->round != round_) return;
     net::PayloadPtr& known = proposals_[proposal->proposer];
     if (known != nullptr &&
@@ -243,13 +243,13 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
     known = envelope.payload;
     return;
   }
-  if (const auto* echo = dynamic_cast<const EchoPayload*>(payload)) {
+  if (const auto* echo = net::payload_cast<EchoPayload>(payload)) {
     if (echo->round != round_) return;
     record_echo(envelope.from, envelope.payload);
     maybe_decide();
     return;
   }
-  if (const auto* commit = dynamic_cast<const CommitPayload*>(payload)) {
+  if (const auto* commit = net::payload_cast<CommitPayload>(payload)) {
     if (commit->round == round_) {
       adopt_decision(commit->round, commit->txs, commit->decider);
     } else if (commit->round > round_) {
@@ -258,7 +258,7 @@ void RedbellyNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* status = dynamic_cast<const StatusPayload*>(payload)) {
+  if (const auto* status = net::payload_cast<StatusPayload>(payload)) {
     if (status->round > round_) request_sync(envelope.from);
     return;
   }
@@ -283,7 +283,7 @@ void RedbellyNode::on_synced() {
 
 net::PayloadPtr RedbellyNode::equivocate_payload(
     const net::PayloadPtr& payload) {
-  const auto* proposal = dynamic_cast<const ProposalPayload*>(payload.get());
+  const auto* proposal = net::payload_cast<ProposalPayload>(payload.get());
   if (proposal == nullptr || proposal->txs.size() < 2) return nullptr;
   // Double-propose: a conflicting batch under the same (round, proposer),
   // so the two halves of the cluster hold different content for the same
@@ -299,7 +299,7 @@ bool RedbellyNode::withholdable(const net::Payload& payload) const {
   // Only proposals: a withheld proposal drops the node's batch out of the
   // superblock (delay), a replayed one targets the duplicate-detection
   // path. Echo/commit withholding would look like ordinary packet loss.
-  return dynamic_cast<const ProposalPayload*>(&payload) != nullptr;
+  return net::payload_cast<ProposalPayload>(&payload) != nullptr;
 }
 
 void RedbellyNode::rebroadcast() {

@@ -152,9 +152,7 @@ class RedbellyNode final : public chain::BlockchainNode {
 };
 
 /// A round's proposal and echo as a node sends them, for harnesses that
-/// script a peer. The payload types stay in redbelly.cpp: with internal
-/// linkage, a dynamic_cast that misses them skips libstdc++'s type-name
-/// strcmp on every delivered message.
+/// script a peer. The payload types stay private to redbelly.cpp.
 net::PayloadPtr make_proposal(std::uint64_t round, net::NodeId proposer,
                               std::vector<chain::Transaction> txs);
 net::PayloadPtr make_echo(std::uint64_t round, std::vector<net::NodeId> seen);

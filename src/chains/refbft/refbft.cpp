@@ -9,7 +9,7 @@
 namespace stabl::refbft {
 namespace {
 
-struct ProposalPayload final : net::Payload {
+struct ProposalPayload final : net::PayloadOf<ProposalPayload> {
   ProposalPayload(std::uint64_t r, net::NodeId l, std::int64_t parent,
                   std::vector<chain::Transaction> batch)
       : round(r), leader(l), parent_round(parent), txs(std::move(batch)) {}
@@ -28,7 +28,7 @@ std::uint64_t batch_digest(const std::vector<chain::Transaction>& txs) {
   return digest;
 }
 
-struct VotePayload final : net::Payload {
+struct VotePayload final : net::PayloadOf<VotePayload> {
   VotePayload(std::uint64_t r, net::NodeId l, std::uint64_t d)
       : round(r), leader(l), digest(d) {}
   std::uint64_t round;
@@ -39,7 +39,7 @@ struct VotePayload final : net::Payload {
   std::uint64_t digest;
 };
 
-struct TimeoutPayload final : net::Payload {
+struct TimeoutPayload final : net::PayloadOf<TimeoutPayload> {
   explicit TimeoutPayload(std::uint64_t r) : round(r) {}
   std::uint64_t round;
 };
@@ -179,12 +179,11 @@ void RefBftNode::jump_to_round(std::uint64_t round, net::NodeId peer_hint) {
 
 void RefBftNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
-  if (const auto* batch =
-          dynamic_cast<const chain::TxBatchPayload*>(payload)) {
+  if (const auto* batch = net::payload_cast<chain::TxBatchPayload>(payload)) {
     for (const chain::Transaction& tx : batch->txs) pool_transaction(tx);
     return;
   }
-  if (const auto* proposal = dynamic_cast<const ProposalPayload*>(payload)) {
+  if (const auto* proposal = net::payload_cast<ProposalPayload>(payload)) {
     if (proposal->round < round_) return;
     if (proposal->round > round_) jump_to_round(proposal->round, envelope.from);
     if (have_proposal_) {
@@ -207,7 +206,7 @@ void RefBftNode::on_app_message(const net::Envelope& envelope) {
     try_commit();
     return;
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload)) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload)) {
     if (vote->round < round_) return;
     if (vote->round > round_) {
       jump_to_round(vote->round, envelope.from);
@@ -223,7 +222,7 @@ void RefBftNode::on_app_message(const net::Envelope& envelope) {
     try_commit();
     return;
   }
-  if (const auto* timeout = dynamic_cast<const TimeoutPayload*>(payload)) {
+  if (const auto* timeout = net::payload_cast<TimeoutPayload>(payload)) {
     if (timeout->round < round_) return;
     if (timeout->round > round_) {
       jump_to_round(timeout->round, envelope.from);
@@ -257,7 +256,7 @@ void RefBftNode::on_synced() {
 
 net::PayloadPtr RefBftNode::equivocate_payload(const net::PayloadPtr& payload) {
   if (const auto* proposal =
-          dynamic_cast<const ProposalPayload*>(payload.get())) {
+          net::payload_cast<ProposalPayload>(payload.get())) {
     if (proposal->txs.size() < 2) return nullptr;  // nothing to conflict on
     // Conflicting variant: same round/leader/parent, different committed
     // sequence (batch reversed minus its last transaction).
@@ -268,7 +267,7 @@ net::PayloadPtr RefBftNode::equivocate_payload(const net::PayloadPtr& payload) {
         proposal->round, proposal->leader, proposal->parent_round,
         std::move(txs));
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload.get())) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload.get())) {
     // Double-vote: same round and leader, conflicting content claim.
     return std::make_shared<const VotePayload>(
         vote->round, vote->leader, vote->digest ^ 0x0BAD'BEEFull);
@@ -277,8 +276,8 @@ net::PayloadPtr RefBftNode::equivocate_payload(const net::PayloadPtr& payload) {
 }
 
 bool RefBftNode::withholdable(const net::Payload& payload) const {
-  return dynamic_cast<const ProposalPayload*>(&payload) != nullptr ||
-         dynamic_cast<const VotePayload*>(&payload) != nullptr;
+  return net::payload_cast<ProposalPayload>(&payload) != nullptr ||
+         net::payload_cast<VotePayload>(&payload) != nullptr;
 }
 
 std::vector<std::unique_ptr<chain::BlockchainNode>> make_cluster(

@@ -12,13 +12,13 @@
 namespace stabl::solana {
 namespace {
 
-struct ForwardPayload final : net::Payload {
+struct ForwardPayload final : net::PayloadOf<ForwardPayload> {
   explicit ForwardPayload(std::vector<chain::Transaction> batch)
       : txs(std::move(batch)) {}
   std::vector<chain::Transaction> txs;
 };
 
-struct BankBlockPayload final : net::Payload {
+struct BankBlockPayload final : net::PayloadOf<BankBlockPayload> {
   BankBlockPayload(std::uint64_t s, net::NodeId l, std::int64_t parent,
                    std::vector<chain::Transaction> batch)
       : slot(s), leader(l), parent_slot(parent), txs(std::move(batch)) {}
@@ -31,7 +31,7 @@ struct BankBlockPayload final : net::Payload {
   std::vector<chain::Transaction> txs;
 };
 
-struct VotePayload final : net::Payload {
+struct VotePayload final : net::PayloadOf<VotePayload> {
   VotePayload(std::uint64_t s, net::NodeId v, std::uint64_t digest)
       : slot(s), voter(v), bank_digest(digest) {}
   std::uint64_t slot;
@@ -380,7 +380,7 @@ void SolanaNode::panic() {
 
 void SolanaNode::on_app_message(const net::Envelope& envelope) {
   const net::Payload* payload = envelope.payload.get();
-  if (const auto* forward = dynamic_cast<const ForwardPayload*>(payload)) {
+  if (const auto* forward = net::payload_cast<ForwardPayload>(payload)) {
     for (const chain::Transaction& tx : forward->txs) {
       // Stale, including committed: as in produce_block.
       if (accounts().next_nonce(tx.from) > tx.nonce) continue;
@@ -388,7 +388,7 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
     }
     return;
   }
-  if (const auto* block = dynamic_cast<const BankBlockPayload*>(payload)) {
+  if (const auto* block = net::payload_cast<BankBlockPayload>(payload)) {
     SlotState& state = slots_[block->slot];
     if (!state.have_block) {
       state.have_block = true;
@@ -419,7 +419,7 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
     try_finalize(block->slot);
     return;
   }
-  if (const auto* vote = dynamic_cast<const VotePayload*>(payload)) {
+  if (const auto* vote = net::payload_cast<VotePayload>(payload)) {
     SlotState& state = slots_[vote->slot];
     state.votes.insert(vote->voter);
     state.vote_digests[vote->voter] = vote->bank_digest;
@@ -434,7 +434,7 @@ void SolanaNode::on_app_message(const net::Envelope& envelope) {
 }
 
 net::PayloadPtr SolanaNode::equivocate_payload(const net::PayloadPtr& payload) {
-  const auto* block = dynamic_cast<const BankBlockPayload*>(payload.get());
+  const auto* block = net::payload_cast<BankBlockPayload>(payload.get());
   if (block == nullptr || block->txs.size() < 2) return nullptr;
   // Conflicting bank for the same slot: same leader and parent, different
   // batch (reversed, minus the last transaction, so the digests differ).
@@ -448,7 +448,7 @@ net::PayloadPtr SolanaNode::equivocate_payload(const net::PayloadPtr& payload) {
 bool SolanaNode::withholdable(const net::Payload& payload) const {
   // Only banks: votes are retransmitted every slot tick anyway, so
   // withholding them would replay payloads the protocol already replays.
-  return dynamic_cast<const BankBlockPayload*>(&payload) != nullptr;
+  return net::payload_cast<BankBlockPayload>(&payload) != nullptr;
 }
 
 void SolanaNode::accept_transaction(const chain::Transaction& tx) {

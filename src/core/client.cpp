@@ -277,7 +277,7 @@ void ClientMachine::on_endpoint_reset(net::NodeId endpoint) {
 }
 
 void ClientMachine::handle_resilient(const net::Envelope& envelope) {
-  if (const auto* control = dynamic_cast<const net::ControlPayload*>(
+  if (const auto* control = net::payload_cast<net::ControlPayload>(
           envelope.payload.get())) {
     if (control->kind == net::ControlPayload::Kind::kRst) {
       on_endpoint_reset(envelope.from);
@@ -285,7 +285,7 @@ void ClientMachine::handle_resilient(const net::Envelope& envelope) {
     return;
   }
   const auto* notify =
-      dynamic_cast<const chain::CommitNotifyPayload*>(envelope.payload.get());
+      net::payload_cast<chain::CommitNotifyPayload>(envelope.payload.get());
   if (notify == nullptr) return;
   const auto it = pending_.find(notify->id);
   if (it == pending_.end()) {
@@ -318,7 +318,7 @@ void ClientMachine::deliver(const net::Envelope& envelope) {
     return;
   }
   const auto* notify =
-      dynamic_cast<const chain::CommitNotifyPayload*>(envelope.payload.get());
+      net::payload_cast<chain::CommitNotifyPayload>(envelope.payload.get());
   if (notify == nullptr) return;  // control frames etc.
   const auto it = pending_.find(notify->id);
   if (it == pending_.end()) return;  // duplicate notification

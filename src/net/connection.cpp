@@ -96,8 +96,7 @@ bool ConnectionManager::handle(const Envelope& envelope) {
   if (peer == nullptr) {
     // Inbound traffic from a machine outside our peer set (e.g. a client
     // dialing a node). Accept the connection protocol without tracking it.
-    const auto* control =
-        dynamic_cast<const ControlPayload*>(envelope.payload.get());
+    const auto* control = payload_cast<ControlPayload>(envelope.payload.get());
     if (control == nullptr) return false;
     switch (control->kind) {
       case ControlPayload::Kind::kSyn:
@@ -113,8 +112,7 @@ bool ConnectionManager::handle(const Envelope& envelope) {
     }
   }
   Peer& state = *peer;
-  const auto* control =
-      dynamic_cast<const ControlPayload*>(envelope.payload.get());
+  const auto* control = payload_cast<ControlPayload>(envelope.payload.get());
   if (control == nullptr) {
     // Application data only flows over established connections on the
     // sender side, so treat it as proof of liveness and accept implicitly.

@@ -68,8 +68,7 @@ void Network::deliver(const Envelope& envelope) {
     ++stats_.dropped_dead;
     // A dead *process* (not machine) means the OS answers with a TCP RST,
     // unless the original frame was itself an RST.
-    const auto* control =
-        dynamic_cast<const ControlPayload*>(envelope.payload.get());
+    const auto* control = payload_cast<ControlPayload>(envelope.payload.get());
     if (control == nullptr || control->kind != ControlPayload::Kind::kRst) {
       send_rst(envelope.to, envelope.from);
     }
@@ -86,6 +85,14 @@ void Network::send_rst(NodeId dead, NodeId to) {
        /*bytes=*/64);
 }
 
+void Network::Rule::add_members(const std::vector<NodeId>& ids,
+                                std::uint8_t group) {
+  for (const NodeId id : ids) {
+    if (id >= groups.size()) groups.resize(std::size_t{id} + 1, 0);
+    groups[id] |= group;
+  }
+}
+
 RuleId Network::install(Rule rule) {
   const RuleId id = next_rule_++;
   rules_.emplace(id, std::move(rule));
@@ -96,8 +103,8 @@ RuleId Network::add_partition(std::vector<NodeId> group_a,
                               std::vector<NodeId> group_b) {
   Rule rule;
   rule.kind = Rule::Kind::kPartition;
-  rule.group_a.insert(group_a.begin(), group_a.end());
-  rule.group_b.insert(group_b.begin(), group_b.end());
+  rule.add_members(group_a, Rule::kInA);
+  rule.add_members(group_b, Rule::kInB);
   return install(std::move(rule));
 }
 
@@ -106,8 +113,8 @@ RuleId Network::add_delay(std::vector<NodeId> group_a,
   require(extra > sim::Duration::zero(), "add_delay: extra must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kDelay;
-  rule.group_a.insert(group_a.begin(), group_a.end());
-  rule.group_b.insert(group_b.begin(), group_b.end());
+  rule.add_members(group_a, Rule::kInA);
+  rule.add_members(group_b, Rule::kInB);
   rule.extra_delay = extra;
   return install(std::move(rule));
 }
@@ -118,8 +125,8 @@ RuleId Network::add_loss(std::vector<NodeId> group_a,
           "add_loss: probability must be in (0, 1]");
   Rule rule;
   rule.kind = Rule::Kind::kLoss;
-  rule.group_a.insert(group_a.begin(), group_a.end());
-  rule.group_b.insert(group_b.begin(), group_b.end());
+  rule.add_members(group_a, Rule::kInA);
+  rule.add_members(group_b, Rule::kInB);
   rule.loss_probability = probability;
   return install(std::move(rule));
 }
@@ -131,8 +138,8 @@ RuleId Network::add_bandwidth(std::vector<NodeId> group_a,
           "add_bandwidth: bytes_per_second must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kBandwidth;
-  rule.group_a.insert(group_a.begin(), group_a.end());
-  rule.group_b.insert(group_b.begin(), group_b.end());
+  rule.add_members(group_a, Rule::kInA);
+  rule.add_members(group_b, Rule::kInB);
   rule.bytes_per_second = bytes_per_second;
   return install(std::move(rule));
 }
@@ -141,7 +148,7 @@ RuleId Network::add_gray(std::vector<NodeId> nodes, sim::Duration extra) {
   require(extra > sim::Duration::zero(), "add_gray: extra must be > 0");
   Rule rule;
   rule.kind = Rule::Kind::kGray;
-  rule.group_a.insert(nodes.begin(), nodes.end());
+  rule.add_members(nodes, Rule::kInA);
   rule.extra_delay = extra;
   return install(std::move(rule));
 }
@@ -153,8 +160,8 @@ RuleId Network::add_eclipse(NodeId victim, std::vector<NodeId> attackers,
           "add_eclipse: filter_probability must be in [0, 1)");
   Rule rule;
   rule.kind = Rule::Kind::kEclipse;
-  rule.group_a.insert(victim);
-  rule.group_b.insert(attackers.begin(), attackers.end());
+  rule.add_members({victim}, Rule::kInA);
+  rule.add_members(attackers, Rule::kInB);
   rule.extra_delay = extra;
   rule.loss_probability = filter_probability;
   return install(std::move(rule));

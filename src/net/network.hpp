@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/latency.hpp"
@@ -130,26 +129,37 @@ class Network {
                    // (group_b): extra_delay + loss_probability filtering
     };
 
+    // Group membership bits of one NodeId.
+    static constexpr std::uint8_t kInA = 1;
+    static constexpr std::uint8_t kInB = 2;  // unused for kGray
+
     Kind kind = Kind::kPartition;
-    std::unordered_set<NodeId> group_a;
-    std::unordered_set<NodeId> group_b;  // unused for kGray
-    sim::Duration extra_delay{0};        // kDelay, kGray, kEclipse
-    double loss_probability = 0.0;       // kLoss, kEclipse
-    double bytes_per_second = 0.0;       // kBandwidth
-    sim::Time busy_until{0};             // kBandwidth serialization queue
+    // Membership table indexed by NodeId (ids are dense, see message.hpp):
+    // kInA | kInB bits per id, sized to the largest member; ids past its
+    // end belong to neither group.
+    std::vector<std::uint8_t> groups;
+    sim::Duration extra_delay{0};   // kDelay, kGray, kEclipse
+    double loss_probability = 0.0;  // kLoss, kEclipse
+    double bytes_per_second = 0.0;  // kBandwidth
+    sim::Time busy_until{0};        // kBandwidth serialization queue
+
+    void add_members(const std::vector<NodeId>& ids, std::uint8_t group);
+
+    [[nodiscard]] std::uint8_t groups_of(NodeId id) const {
+      return id < groups.size() ? groups[id] : 0;
+    }
 
     [[nodiscard]] bool matches(NodeId a, NodeId b) const {
-      if (kind == Kind::kGray) {
-        return group_a.contains(a) || group_a.contains(b);
-      }
+      const std::uint8_t ga = groups_of(a);
+      const std::uint8_t gb = groups_of(b);
+      if (kind == Kind::kGray) return ((ga | gb) & kInA) != 0;
       if (kind == Kind::kEclipse) {
         // Matched: one endpoint is the victim and the other is NOT one of
         // the attackers — that packet has to take the attacker detour.
-        return (group_a.contains(a) || group_a.contains(b)) &&
-               !group_b.contains(a) && !group_b.contains(b);
+        return ((ga | gb) & kInA) != 0 && ((ga | gb) & kInB) == 0;
       }
-      return (group_a.contains(a) && group_b.contains(b)) ||
-             (group_b.contains(a) && group_a.contains(b));
+      return ((ga & kInA) != 0 && (gb & kInB) != 0) ||
+             ((ga & kInB) != 0 && (gb & kInA) != 0);
     }
   };
 

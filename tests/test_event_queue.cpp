@@ -379,16 +379,38 @@ TEST(EventQueue, CancelAtEveryHeapPositionAcrossLevelBoundaries) {
 // that range must fail loudly in every build type, never wrap into a key
 // that sorts out of schedule order.
 TEST(EventQueue, PackedKeyRangeThrowsInEveryBuildType) {
-  constexpr unsigned kSlotBits = detail::kEventSlotBits;
-  const std::uint64_t max_slot = (std::uint64_t{1} << kSlotBits) - 1;
-  const std::uint64_t max_seq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
-  EXPECT_NO_THROW(static_cast<void>(detail::pack_event_key(max_seq, max_slot)));
-  EXPECT_THROW(static_cast<void>(detail::pack_event_key(max_seq + 1, 0)),
+  const std::uint64_t max_seq =
+      (std::uint64_t{1} << detail::kEventSeqBits) - 1;
+  // The all-ones slot is the free list's end mark, so the last usable
+  // slot is one below it.
+  const std::uint64_t max_slot =
+      (std::uint64_t{1} << detail::kEventSlotBits) - 2;
+  const Time max_at{
+      static_cast<std::int64_t>((std::uint64_t{1} << detail::kEventTimeBits) -
+                                1)};
+  const auto pack = [](Time at, std::uint64_t seq, std::uint64_t slot) {
+    return detail::pack_event_entry(at, seq, slot);
+  };
+  EXPECT_NO_THROW(static_cast<void>(pack(max_at, max_seq, max_slot)));
+  EXPECT_THROW(static_cast<void>(pack(Time{0}, max_seq + 1, 0)),
                std::length_error);
-  EXPECT_THROW(static_cast<void>(detail::pack_event_key(0, max_slot + 1)),
+  EXPECT_THROW(static_cast<void>(pack(Time{0}, 0, max_slot + 1)),
                std::length_error);
-  // Keys order as their sequence numbers do, whatever the slots.
-  EXPECT_LT(detail::pack_event_key(5, max_slot), detail::pack_event_key(6, 0));
+  EXPECT_THROW(static_cast<void>(pack(max_at + us(1), 0, 0)),
+               std::length_error);
+  EXPECT_THROW(static_cast<void>(pack(us(-1), 0, 0)), std::length_error);
+  // The old 24-bit slot field's bound is well inside the new one.
+  EXPECT_NO_THROW(
+      static_cast<void>(pack(Time{0}, 0, std::uint64_t{1} << 24)));
+  // Entries order as (at, seq) does, whatever the slots.
+  EXPECT_TRUE(pack(us(7), 5, max_slot) < pack(us(7), 6, 0));
+  EXPECT_TRUE(pack(us(7), max_seq, max_slot) < pack(us(8), 0, 0));
+  // A schedule past the bound throws before it changes the queue.
+  EventQueue queue;
+  queue.schedule(us(1), [] {});
+  EXPECT_THROW(queue.schedule(max_at + us(1), [] {}), std::length_error);
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.allocated_slots(), 1u);
 }
 
 TEST(EventQueue, ReserveDoesNotPerturbBehavior) {
