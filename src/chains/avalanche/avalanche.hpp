@@ -125,6 +125,7 @@ class AvalancheNode final : public chain::BlockchainNode {
   void stop_protocol() override;
   void on_app_message(const net::Envelope& envelope) override;
   void on_transaction(const chain::Transaction& tx) override;
+  void on_synced() override;
   [[nodiscard]] net::PayloadPtr equivocate_payload(
       const net::PayloadPtr& payload) override;
   [[nodiscard]] bool withholdable(const net::Payload& payload) const override;

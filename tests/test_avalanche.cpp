@@ -9,7 +9,9 @@
 #include <string>
 
 #include "chain_test_util.hpp"
+#include "core/chaos.hpp"
 #include "core/experiment.hpp"
+#include "core/oracle.hpp"
 
 namespace stabl::avalanche {
 namespace {
@@ -304,6 +306,28 @@ TEST(ThrottlerUnit, DisabledProcessesEverythingInline) {
   for (int i = 0; i < 50; ++i) throttler.enqueue(envelope);
   EXPECT_EQ(handled, 50);
   EXPECT_EQ(throttler.dropped(), 0u);
+}
+
+// State sync must move a replica on to the next undecided height. The
+// seed-42, 400 s chaos hunt (`stabl_cli --chaos 8 --seed 42 --duration 400
+// --shrink`) shrinks Avalanche trial 0 to this one plan: node 6 serves
+// everything 4,225 ms late from 59 to 62 s, falls behind and catches up by
+// state sync. A replica that kept its old height afterwards committed an
+// empty block for it on top of the synced tip when the late decision came
+// in: a fork at height 26 (0 vs 652 transactions). 66 s is the shortest
+// run that still forked.
+TEST(AvalancheSync, SyncedReplicaDoesNotReDecideItsOldHeight) {
+  core::ChaosCampaignConfig chaos;
+  chaos.base.duration = sim::sec(66);
+  const core::ExperimentConfig cell = core::chaos_trial_config(
+      chaos, core::ChainKind::kAvalanche, 5646664708902707414ull,
+      core::schedule_from_json(
+          R"({"plans":[{"type":"gray","targets":[6],"inject_at_s":59.000,)"
+          R"("recover_at_s":62.000,"gray_ms":4225}]})"));
+  const core::ExperimentResult result = core::run_experiment(cell);
+  const core::OracleReport report =
+      core::check_invariants(core::make_oracle_context(cell), result);
+  EXPECT_EQ(report.safety_violation(), nullptr) << report.summary();
 }
 
 }  // namespace
